@@ -44,7 +44,6 @@ struct RowSpec {
   int threads = 1;
   bool incremental_audit = true;
   bool model_caching = true;
-  bool sparse_placement = true;
 };
 
 struct RowResult {
@@ -60,7 +59,6 @@ RowResult RunRowOnce(const BenchParams& params, const RowSpec& row) {
   sim.audit = true;
   sim.incremental_audit = row.incremental_audit;
   sim.model_caching = row.model_caching;
-  sim.sparse_placement = row.sparse_placement;
   // A light fault load so the faults phase and the auditor's delta updates
   // (evictions, recoveries) are genuinely exercised, not measured at zero.
   std::string error;
@@ -183,13 +181,12 @@ int main(int argc, char** argv) {
   }
 
   // Row 0 is the pre-optimization baseline: serial, full invariant
-  // re-derivation every interval, from-scratch model refits, dense placement
-  // scans. The remaining rows are the new engine across thread counts.
+  // re-derivation every interval, from-scratch model refits. The remaining
+  // rows are the new engine across thread counts.
   std::vector<RowSpec> rows;
-  rows.push_back({"baseline (dense, full audit, no caches)", 1, false, false, false});
+  rows.push_back({"baseline (full audit, no caches)", 1, false, false});
   for (const int threads : {1, 2, 4, 8}) {
-    rows.push_back(
-        {"engine @ " + std::to_string(threads) + "t", threads, true, true, true});
+    rows.push_back({"engine @ " + std::to_string(threads) + "t", threads, true, true});
   }
 
   TablePrinter table({"configuration", "wall (s)", "sim s / wall s", "faults (s)",
@@ -218,7 +215,6 @@ int main(int argc, char** argv) {
     jr.Set("threads", row.threads);
     jr.Set("incremental_audit", row.incremental_audit);
     jr.Set("model_caching", row.model_caching);
-    jr.Set("sparse_placement", row.sparse_placement);
     jr.Set("wall_s", r.wall_s);
     jr.Set("sim_s_per_wall_s", r.sim_s_per_wall_s);
     jr.Set("wall_faults_s", r.metrics.wall_faults_s);

@@ -13,7 +13,7 @@
 //       Theorem-1 variant) on scenarios/oversubscribed_fabric.json. Rack-aware
 //       placement must win on average JCT when uplinks are oversubscribed.
 //
-//   determinism — shards x threads x engines over the two network scenarios
+//   determinism — threads x engines over the two network scenarios
 //       (allreduce_mix under topology, oversubscribed_fabric under
 //       contention): every cell must reproduce the reference cell's metrics,
 //       trace digest, and network-solve counters bitwise. Any divergence
@@ -55,7 +55,7 @@ double MeanJct(const std::vector<double>& jcts) {
 }
 
 // Everything the simulation computes, fingerprinted for bitwise comparison
-// across (shards, threads, engine-invariant) configurations. On top of the
+// across thread counts, per engine. On top of the
 // scheduler-side outputs this adds the network solve's counters: a fabric
 // solve that drifted with thread count would show up here even if the JCTs
 // happened to agree.
@@ -158,7 +158,6 @@ int RunModelCell(const std::string& model_name) {
   config.engine = SimEngine::kEvents;
   config.streaming = true;
   config.trace_hash_only = true;
-  config.shards = 8;
   config.threads = 1;
   config.interval_s = 600.0;
   config.max_sim_time_s = 12 * config.interval_s;
@@ -334,65 +333,56 @@ bool RunDeterminismSweep(const std::string& scenario_path,
     *why = "scenario load failed: " + error;
     return false;
   }
-  const std::vector<int> shard_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   const std::vector<SimEngine> engines = {SimEngine::kInterval,
                                           SimEngine::kEvents};
 
-  TablePrinter table({"engine", "shards", "threads", "wall (s)", "completed",
+  TablePrinter table({"engine", "threads", "wall (s)", "completed",
                       "trace digest", "net solves", "contended", "match"});
   bool ok = true;
   for (const SimEngine engine : engines) {
     // The two engines legitimately differ from each other (different RNG
-    // cadences); the bitwise contract is per engine, across shards/threads.
+    // cadences); the bitwise contract is per engine, across threads.
     bool have_reference = false;
     RunFingerprint reference;
-    for (const int shards : shard_counts) {
-      for (const int threads : thread_counts) {
-        SimulatorConfig config = scenario.MakeSimConfig(policy);
-        config.engine = engine;
-        config.shards = shards;
-        config.threads = threads;
-        const CellRun run = RunSim(config, scenario.cluster.Build(),
-                                   scenario.JobsForRepeat());
-        std::string mismatch;
-        bool match = true;
-        if (!have_reference) {
-          reference = run.fp;
-          have_reference = true;
-        } else if (!run.fp.Matches(reference, &mismatch)) {
-          match = false;
-          ok = false;
-          *why = scenario_path + ": " + SimEngineName(engine) + " shards=" +
-                 std::to_string(shards) + " threads=" +
-                 std::to_string(threads) + " diverged on " + mismatch;
-        }
-        table.AddRow({SimEngineName(engine), std::to_string(shards),
-                      std::to_string(threads),
-                      TablePrinter::FormatDouble(run.wall_s, 3),
-                      std::to_string(run.fp.completed),
-                      DigestHex(run.fp.trace_digest),
-                      std::to_string(run.fp.net_solves),
-                      std::to_string(run.fp.net_contended_flows),
-                      match ? "ok" : "DIVERGED"});
-        JsonObject row;
-        row.Set("scenario", scenario_path);
-        row.Set("policy", policy);
-        row.Set("engine", SimEngineName(engine));
-        row.Set("shards", shards);
-        row.Set("threads", threads);
-        row.Set("completed_jobs", run.fp.completed);
-        row.Set("trace_digest", DigestHex(run.fp.trace_digest));
-        row.Set("trace_records", run.fp.trace_records);
-        row.Set("net_solves", run.fp.net_solves);
-        row.Set("net_flows", run.fp.net_flows);
-        row.Set("net_contended_flows", run.fp.net_contended_flows);
-        row.Set("match", match);
-        SetPerfColumns(&row, run.wall_s, run.sim_s);
-        rows->push_back(row);
+    for (const int threads : thread_counts) {
+      SimulatorConfig config = scenario.MakeSimConfig(policy);
+      config.engine = engine;
+      config.threads = threads;
+      const CellRun run =
+          RunSim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
+      std::string mismatch;
+      bool match = true;
+      if (!have_reference) {
+        reference = run.fp;
+        have_reference = true;
+      } else if (!run.fp.Matches(reference, &mismatch)) {
+        match = false;
+        ok = false;
+        *why = scenario_path + ": " + SimEngineName(engine) + " threads=" +
+               std::to_string(threads) + " diverged on " + mismatch;
       }
+      table.AddRow({SimEngineName(engine), std::to_string(threads),
+                    TablePrinter::FormatDouble(run.wall_s, 3),
+                    std::to_string(run.fp.completed), DigestHex(run.fp.trace_digest),
+                    std::to_string(run.fp.net_solves),
+                    std::to_string(run.fp.net_contended_flows),
+                    match ? "ok" : "DIVERGED"});
+      JsonObject row;
+      row.Set("scenario", scenario_path);
+      row.Set("policy", policy);
+      row.Set("engine", SimEngineName(engine));
+      row.Set("threads", threads);
+      row.Set("completed_jobs", run.fp.completed);
+      row.Set("trace_digest", DigestHex(run.fp.trace_digest));
+      row.Set("trace_records", run.fp.trace_records);
+      row.Set("net_solves", run.fp.net_solves);
+      row.Set("net_flows", run.fp.net_flows);
+      row.Set("net_contended_flows", run.fp.net_contended_flows);
+      row.Set("match", match);
+      SetPerfColumns(&row, run.wall_s, run.sim_s);
+      rows->push_back(row);
     }
   }
   table.Print(std::cout);
@@ -425,7 +415,7 @@ int main(int argc, char** argv) {
       "rack-aware Theorem-1 placement",
       "network.model=flat reproduces the Eqn-2 constant bitwise; "
       "topology/contention/all-reduce runs are bitwise identical across "
-      "shards x threads per engine; rack-aware placement beats the baseline "
+      "threads per engine; rack-aware placement beats the baseline "
       "on average JCT when rack uplinks are 4:1 oversubscribed");
 
   bool ok = true;

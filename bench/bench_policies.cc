@@ -10,11 +10,11 @@
 //       must beat plain `optimus` on average JCT — the batch-adaptive goodput
 //       policy is the expected winner on this workload.
 //
-//   determinism — every policy x engines {interval, events} x threads x
-//       shards: each cell must reproduce its (policy, engine) reference
-//       bitwise (JCTs, trace digest, counters). Any divergence exits 3.
-//       Both sections run under --smoke (tools/check.sh and CI); --smoke
-//       trims the grid to threads {1, 2} x shards {1, 2}.
+//   determinism — every policy x engines {interval, events} x threads: each
+//       cell must reproduce its (policy, engine) reference bitwise (JCTs,
+//       trace digest, counters). Any divergence exits 3. Both sections run
+//       under --smoke (tools/check.sh and CI); --smoke trims the grid to
+//       threads {1, 2}.
 
 #include <cstdio>
 #include <chrono>
@@ -47,7 +47,7 @@ double MeanJct(const std::vector<double>& jcts) {
 }
 
 // Everything the run computes, fingerprinted for bitwise comparison across
-// (shards, threads) cells of one (policy, engine).
+// thread-count cells of one (policy, engine).
 struct RunFingerprint {
   std::vector<double> jcts;
   int completed = 0;
@@ -174,59 +174,50 @@ bool RunComparison(const ScenarioSpec& scenario, JsonObject* section,
 
 bool RunDeterminismSweep(const ScenarioSpec& scenario, bool smoke,
                          std::vector<JsonObject>* rows, std::string* why) {
-  const std::vector<int> shard_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   const std::vector<SimEngine> engines = {SimEngine::kInterval,
                                           SimEngine::kEvents};
 
-  TablePrinter table({"policy", "engine", "shards", "threads", "completed",
+  TablePrinter table({"policy", "engine", "threads", "completed",
                       "trace digest", "match"});
   bool ok = true;
   for (const std::string& policy : SchedulerRegistry::Global().Names()) {
     for (const SimEngine engine : engines) {
       // The two engines legitimately differ from each other; the bitwise
-      // contract is per (policy, engine), across shards x threads.
+      // contract is per (policy, engine), across threads.
       bool have_reference = false;
       RunFingerprint reference;
-      for (const int shards : shard_counts) {
-        for (const int threads : thread_counts) {
-          SimulatorConfig config = scenario.MakeSimConfig(policy);
-          config.engine = engine;
-          config.shards = shards;
-          config.threads = threads;
-          const CellRun run = RunSim(config, scenario.cluster.Build(),
-                                     scenario.JobsForRepeat());
-          std::string mismatch;
-          bool match = true;
-          if (!have_reference) {
-            reference = run.fp;
-            have_reference = true;
-          } else if (!run.fp.Matches(reference, &mismatch)) {
-            match = false;
-            ok = false;
-            *why = policy + " " + SimEngineName(engine) + " shards=" +
-                   std::to_string(shards) + " threads=" +
-                   std::to_string(threads) + " diverged on " + mismatch;
-          }
-          table.AddRow({policy, SimEngineName(engine), std::to_string(shards),
-                        std::to_string(threads),
-                        std::to_string(run.fp.completed),
-                        DigestHex(run.fp.trace_digest),
-                        match ? "ok" : "DIVERGED"});
-          JsonObject row;
-          row.Set("policy", policy);
-          row.Set("engine", SimEngineName(engine));
-          row.Set("shards", shards);
-          row.Set("threads", threads);
-          row.Set("completed_jobs", run.fp.completed);
-          row.Set("trace_digest", DigestHex(run.fp.trace_digest));
-          row.Set("trace_records", run.fp.trace_records);
-          row.Set("match", match);
-          SetPerfColumns(&row, run.wall_s, run.sim_s);
-          rows->push_back(row);
+      for (const int threads : thread_counts) {
+        SimulatorConfig config = scenario.MakeSimConfig(policy);
+        config.engine = engine;
+        config.threads = threads;
+        const CellRun run =
+            RunSim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
+        std::string mismatch;
+        bool match = true;
+        if (!have_reference) {
+          reference = run.fp;
+          have_reference = true;
+        } else if (!run.fp.Matches(reference, &mismatch)) {
+          match = false;
+          ok = false;
+          *why = policy + " " + SimEngineName(engine) + " threads=" +
+                 std::to_string(threads) + " diverged on " + mismatch;
         }
+        table.AddRow({policy, SimEngineName(engine), std::to_string(threads),
+                      std::to_string(run.fp.completed), DigestHex(run.fp.trace_digest),
+                      match ? "ok" : "DIVERGED"});
+        JsonObject row;
+        row.Set("policy", policy);
+        row.Set("engine", SimEngineName(engine));
+        row.Set("threads", threads);
+        row.Set("completed_jobs", run.fp.completed);
+        row.Set("trace_digest", DigestHex(run.fp.trace_digest));
+        row.Set("trace_records", run.fp.trace_records);
+        row.Set("match", match);
+        SetPerfColumns(&row, run.wall_s, run.sim_s);
+        rows->push_back(row);
       }
     }
   }
@@ -251,7 +242,7 @@ int main(int argc, char** argv) {
       "EXT: policy families",
       "Full SchedulerRegistry catalog (goodput / synergy / dl2 included) on "
       "the batch-adaptive workload, plus per-policy determinism",
-      "every policy is bitwise identical across shards x threads per engine; "
+      "every policy is bitwise identical across threads per engine; "
       "a non-Optimus-family policy (goodput expected) wins average JCT on the "
       "batch-adaptive scenario");
 
@@ -277,8 +268,7 @@ int main(int argc, char** argv) {
   }
   section.Set("comparison", comparison);
 
-  std::cout << "\nDeterminism sweep (every policy x engine x shards x "
-               "threads):\n";
+  std::cout << "\nDeterminism sweep (every policy x engine x threads):\n";
   std::vector<JsonObject> determinism_rows;
   bool determinism_ok = true;
   if (!RunDeterminismSweep(scenario, smoke, &determinism_rows, &divergence)) {

@@ -69,10 +69,9 @@ AllocationMap GoodputAllocator::Allocate(const std::vector<SchedJob>& jobs,
     SchedJob& sj = inner_jobs[i];
     // Composite jobs get a *distinct* identity: a derived negative job id and
     // a mixed signature. The derived id keeps the composite surface out of
-    // the per-job memo slot of the real job, so the sharded round's warm
-    // donors never mix composite values into a plain surface (which would
-    // break the shards-invariance contract); the mixed signature still lets
-    // jobs with identical models and batch ranges share one composite grid.
+    // the per-job memo slot of the real job, so composite values never mix
+    // into a plain surface; the mixed signature still lets jobs with
+    // identical models and batch ranges share one composite grid.
     sj.job_id = -jobs[i].job_id - 1;
     if (sj.speed_signature != 0) {
       uint64_t h = MixBits(sj.speed_signature, 0x600dbadceULL);

@@ -5,7 +5,9 @@
 //    capacity (descending), jobs by resource demand (ascending, smallest job
 //    first to avoid starvation). Each job is packed onto the smallest number
 //    of servers that can host it, with parameter servers and workers spread
-//    evenly over those servers (Theorem 1).
+//    evenly over those servers (Theorem 1). One lazy (free_cpu, index)
+//    max-heap keeps the servers sorted across jobs; a capacity lower bound
+//    skips prefix sizes that provably cannot hold the job.
 //  - kLoadBalance: the Kubernetes-default behaviour used by the DRF baseline:
 //    every task goes to the currently least-loaded server that fits it.
 //  - kTetrisPack: fragmentation-minimizing packing used by the Tetris
@@ -17,7 +19,9 @@
 //    can hold fall back to the global kOptimusPack scheme.
 //
 // Jobs that cannot be placed under a policy are reported back; the simulator
-// pauses them until the next interval (§4.2).
+// pauses them until the next interval (§4.2). Every policy emits compact
+// JobPlacements (occupied servers only), so a round's placements cost
+// O(tasks) memory whatever the cluster size.
 
 #ifndef SRC_SCHED_PLACEMENT_H_
 #define SRC_SCHED_PLACEMENT_H_
@@ -26,7 +30,6 @@
 #include <vector>
 
 #include "src/cluster/server.h"
-#include "src/cluster/shard_plan.h"
 #include "src/pserver/comm_model.h"
 #include "src/sched/scheduler.h"
 
@@ -46,19 +49,12 @@ struct PlacementJobInput {
   Allocation alloc;
   Resources worker_demand;
   Resources ps_demand;
-  // Optional donor for the result's dense per-server vectors: when set (and
-  // sized to the server list), PlaceJobs moves the buffers out of the pointee
-  // and sparsely re-zeroes them via used_servers instead of allocating and
-  // zero-filling two server-sized vectors per job — the dominant placement
-  // cost on large clusters. The pointee is left moved-from; callers must not
-  // read it again before reassigning it. Placement decisions are unaffected.
-  JobPlacement* recycle = nullptr;
   // All-reduce jobs (num_ps == 0) are placeable with workers alone.
   CommMode comm = CommMode::kParameterServer;
 };
 
 struct PlacementResult {
-  // job_id -> per-server task counts (vectors sized to the server list).
+  // job_id -> the job's occupied servers and per-server task counts.
   std::map<int, JobPlacement> placements;
   // job_id -> the allocation actually placed. Differs from the requested
   // allocation only when shrink-to-fit reduced an unplaceable job.
@@ -91,29 +87,6 @@ PlacementResult PlaceJobs(PlacementPolicy policy,
                           const std::vector<PlacementJobInput>& jobs,
                           std::vector<Server>* servers, bool shrink_to_fit = true,
                           int rack_size = 0);
-
-// Sharded fast path for the Optimus packing policy. Placement DECISIONS are
-// identical to PlaceJobs(kOptimusPack, ...) — it differs only in how they
-// are computed and represented:
-//  - one lazy max-heap per shard of the plan instead of a global heap; pops
-//    run a deterministic tournament over the shard tops that reproduces the
-//    global (free_cpu, server index) order exactly,
-//  - a sound capacity lower bound skips k values whose first-k candidate
-//    prefix provably cannot hold the job's total demand (failed
-//    TryEvenPlacement attempts have no side effects, so skipping them cannot
-//    change any decision),
-//  - per-candidate free vectors are computed once per job instead of once
-//    per (task, candidate) probe, and the tentative buffers are reused
-//    across jobs,
-//  - result placements use the compact JobPlacement form (used_servers /
-//    used_workers / used_ps), so a round's placements cost O(tasks) memory
-//    instead of O(n_servers) per job — the dominant cost at 100k servers.
-// A donor in PlacementJobInput::recycle is adopted for its vector capacity
-// whatever its shape (dense donors are dropped to the compact form).
-PlacementResult PlaceJobsSharded(const ShardPlan& plan,
-                                 const std::vector<PlacementJobInput>& jobs,
-                                 std::vector<Server>* servers,
-                                 bool shrink_to_fit = true);
 
 }  // namespace optimus
 

@@ -46,17 +46,6 @@ class SpeedSurface {
   int max_ps() const { return max_ps_; }
   int max_workers() const { return max_workers_; }
 
-  // Copies every point `other` has evaluated (and this surface has not) into
-  // a warm side-cache; returns how many points were copied. The caller
-  // guarantees the two surfaces memoize pointwise-identical functions (same
-  // signature contract as SpeedSurfaceSet sharing), so a warm value is
-  // bitwise what evaluating here would produce. Warm points do NOT touch the
-  // probe/eval counters at absorb time: the first Speed() probe of a warm
-  // point counts as one eval (served from the cache, no function call), so
-  // the counters a round reports are identical whether its surfaces were
-  // pre-warmed by shard-local passes or evaluated cold.
-  int64_t AbsorbFrom(const SpeedSurface& other);
-
   // Total Speed() calls vs underlying speed-function evaluations.
   int64_t probes() const { return probes_; }
   int64_t evals() const { return evals_; }
@@ -75,10 +64,6 @@ class SpeedSurface {
   // NaN = not yet evaluated. Allocated lazily on the first in-grid probe so
   // jobs that are never probed (e.g. DRF rounds) cost nothing.
   std::vector<double> grid_;
-  // Nonzero marks a grid cell filled by AbsorbFrom but not yet probed; the
-  // first probe charges the eval the canonical (unwarmed) round would have
-  // paid. Allocated only when AbsorbFrom copies at least one point.
-  std::vector<uint8_t> warm_unprobed_;
   int64_t probes_ = 0;
   int64_t evals_ = 0;
 };
@@ -96,22 +81,6 @@ class SpeedSurfaceSet {
   // first use. The returned pointer stays valid for the set's lifetime.
   SpeedSurface* Surface(const SchedJob& job);
 
-  // Shared handle to `job`'s surface, or null when none exists yet. Never
-  // creates a surface (so it cannot perturb num_surfaces()).
-  std::shared_ptr<SpeedSurface> Find(int job_id) const;
-
-  // Registers `donor` as a warm source for `job`'s surface: when (and only
-  // when) a later Surface() call creates that surface, it absorbs the
-  // donor's already-evaluated points first (see SpeedSurface::AbsorbFrom).
-  // Surfaces are still created purely on demand, so a warmed round reports
-  // the same surface count, probe count, and eval count as a cold one. Used
-  // by the sharded round to hand shard-local phase-1 surfaces to the serial
-  // fixup pass.
-  void WarmFrom(const SchedJob& job, std::shared_ptr<SpeedSurface> donor);
-
-  // Points served from warm donors so far (profiling only).
-  int64_t warmed_points() const { return warmed_points_; }
-
   bool cache_enabled() const { return cache_enabled_; }
   size_t num_surfaces() const { return surfaces_.size(); }
 
@@ -128,13 +97,6 @@ class SpeedSurfaceSet {
   std::map<int, std::shared_ptr<SpeedSurface>> by_job_;
   std::map<std::tuple<uint64_t, int, int>, std::shared_ptr<SpeedSurface>>
       by_signature_;
-  // Pending warm donors, applied when the matching surface is created.
-  // Signature-carrying jobs key by (signature, caps) so one absorption
-  // covers every job sharing the surface; signature-0 jobs key by job id.
-  std::map<std::tuple<uint64_t, int, int>, std::vector<std::shared_ptr<SpeedSurface>>>
-      warm_by_signature_;
-  std::map<int, std::vector<std::shared_ptr<SpeedSurface>>> warm_by_job_;
-  int64_t warmed_points_ = 0;
 };
 
 }  // namespace optimus

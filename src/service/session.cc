@@ -124,6 +124,7 @@ bool ServiceSession::Rebuild(const std::string& text, const std::string& source,
   genesis_text_ = text;
   journal_.clear();
   next_job_id_ = next_id;
+  last_target_s_ = 0.0;
   return true;
 }
 
@@ -391,8 +392,12 @@ bool ServiceSession::HandleAdvance(const ServiceRequest& req, JsonObject* resp,
                                            : "\"dt_s\" must be a number");
     return false;
   }
-  const double target = to != nullptr ? to->AsDouble()
-                                      : sim_->now_s() + dt->AsDouble();
+  // A relative advance counts from the furthest target reached so far: on
+  // the event engine now_s only moves to the last processed event, so
+  // measuring from it would let repeated small dt_s requests stall the clock.
+  const double target =
+      to != nullptr ? to->AsDouble()
+                    : std::max(sim_->now_s(), last_target_s_) + dt->AsDouble();
   if (target < sim_->now_s()) {
     std::ostringstream os;
     os << "target time " << target << " is in the past (now " << sim_->now_s()
@@ -401,6 +406,7 @@ bool ServiceSession::HandleAdvance(const ServiceRequest& req, JsonObject* resp,
     return false;
   }
   sim_->AdvanceTo(target);
+  last_target_s_ = std::max(last_target_s_, target);
   resp->Set("now_s", sim_->now_s());
   resp->Set("completed_jobs", sim_->metrics().completed_jobs);
   resp->Set("total_jobs", sim_->metrics().total_jobs);

@@ -115,6 +115,9 @@ class ServiceSession {
   std::unique_ptr<Simulator> sim_;
   std::vector<std::string> journal_;  // mutating request lines since genesis
   int next_job_id_ = 0;               // smallest id above every known job id
+  // Furthest advance target reached since genesis; relative advances count
+  // from max(now_s, this). Rebuilt by the journal replay on restore.
+  double last_target_s_ = 0.0;
   int64_t sequence_ = 0;              // requests seen (1-based ids)
 
   MetricsRegistry registry_;

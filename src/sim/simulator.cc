@@ -140,9 +140,6 @@ bool SimulatorConfig::Validate(std::vector<std::string>* errors) const {
     bad("full_audit_period",
         "must be >= 1 (got " + std::to_string(full_audit_period) + ")");
   }
-  if (shards < 1) {
-    bad("shards", "must be >= 1 (got " + std::to_string(shards) + ")");
-  }
   if (rack_size < 0) {
     bad("rack_size",
         "must be >= 0 (0 = one rack; got " + std::to_string(rack_size) + ")");
@@ -242,9 +239,6 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
-  shard_plan_ = ShardPlan::Build(config_.shards,
-                                 static_cast<int>(servers_.size()),
-                                 config_.rack_size);
   // Null under the flat model: every comm-model call then falls back to the
   // Eqn-2 constant and the run is bitwise identical to the pre-fabric code.
   net_ = NetworkModel::Create(config_.net, static_cast<int>(servers_.size()),
@@ -311,7 +305,6 @@ void Simulator::RetireJob(size_t idx) {
   }
   ++retired_count_;
   auditor_.NoteRetired(jr->job.id());
-  HarvestPlacement(&jr->job);
   jobs_[idx].reset();
 }
 
@@ -415,7 +408,7 @@ void Simulator::SetupObservability() {
     // flat runs keep the historical catalog byte-identical (the committed
     // metrics.prom golden), and the fabric values are deterministic
     // (placement-driven serial solves), so within a fabric config the
-    // catalog remains a stable prefix across threads/shards/engines.
+    // catalog remains a stable prefix across threads/engines.
     if (net_ != nullptr) {
       m_.net_solves = c("optimus_net_solves_total",
                         "Network fair-share solves (one per round).");
@@ -431,29 +424,6 @@ void Simulator::SetupObservability() {
           "optimus_net_mean_link_utilization",
           "Mean utilization over all fabric links after the last solve (0-1).");
     }
-    // Sharded-round counters describe HOW the round computed its
-    // (bitwise-invariant) answer, so they vary with config_.shards. They are
-    // quarantined here, between the deterministic catalog prefix and the
-    // wall_* gauges, with the other profile-only metrics: the deterministic
-    // catalog stays a stable prefix of the export for every (shards,
-    // threads) combination.
-    m_.shard_rounds = c("optimus_shard_rounds_total",
-                        "Two-phase sharded scheduling rounds executed.");
-    m_.shard_local_grants =
-        c("optimus_shard_local_grants_total",
-          "Phase-1 provisional grants across all shards (profile only).");
-    m_.shard_local_evals =
-        c("optimus_shard_local_evals_total",
-          "Phase-1 speed-function evaluations across all shards.");
-    m_.shard_warmed_points =
-        c("optimus_shard_warmed_points_total",
-          "Memoized speed points handed from shard surfaces to fixup passes.");
-    m_.shard_migrated_jobs =
-        c("optimus_shard_migrated_jobs_total",
-          "Jobs whose fixup-pass grant differs from their shard-local grant.");
-    m_.shard_migrated_tasks =
-        c("optimus_shard_migrated_tasks_total",
-          "Task-count delta between shard-local and fixup-pass grants.");
     // Profiling gauges (optimus_wall_*_seconds) register last so the
     // deterministic catalog is a stable prefix of the export.
     profiler_.AttachRegistry(&registry_, "optimus_wall_");
@@ -529,13 +499,6 @@ void Simulator::SampleObservability() {
     m_.events_by_kind[k]->Set(
         static_cast<double>(event_counts_.counts[static_cast<size_t>(k)]));
   }
-  m_.shard_rounds->Set(static_cast<double>(sharded_stats_.rounds));
-  m_.shard_local_grants->Set(static_cast<double>(sharded_stats_.local_grants));
-  m_.shard_local_evals->Set(static_cast<double>(sharded_stats_.local_evals));
-  m_.shard_warmed_points->Set(static_cast<double>(sharded_stats_.warmed_points));
-  m_.shard_migrated_jobs->Set(static_cast<double>(sharded_stats_.migrated_jobs));
-  m_.shard_migrated_tasks->Set(
-      static_cast<double>(sharded_stats_.migrated_tasks));
   if (net_ != nullptr && m_.net_solves != nullptr) {
     const NetworkStats& ns = net_->stats();
     m_.net_solves->Set(static_cast<double>(ns.solves));
@@ -725,7 +688,7 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
       if (allreduce) {
         // The all-reduce speed function differs from the PS one for the same
         // model profile; fold comm in only for non-default modes so PS jobs
-        // keep their historical signatures (and shard partitions) bitwise.
+        // keep their historical signatures bitwise.
         sig = MixSignature(sig, static_cast<uint64_t>(spec.comm) + 1);
       }
       sj.speed_signature = sig != 0 ? sig : 1;
@@ -764,7 +727,7 @@ SchedJob Simulator::MakeSchedJob(JobRuntime* jr) const {
   // statistical-efficiency parameter, and a batch-capable physical speed
   // estimate. batch_speed scales the policy-facing estimate by the analytic
   // step-time ratio T(M0)/T(b) — a pure function of the model profile, so it
-  // adds no RNG draws and is identical across threads/shards. Policies that
+  // adds no RNG draws and is identical across threads. Policies that
   // ignore the batch dimension never call it.
   if (spec.mode == TrainingMode::kSync) {
     sj.batch_ref = spec.GlobalBatch();
@@ -861,7 +824,7 @@ double Simulator::TrueSpeed(const JobRuntime& jr) const {
   }
   in.load = jr.load;
   in.load_valid = jr.load_valid;
-  in.placement_ref = &jr.job.placement();  // borrow; avoids 2 vector copies
+  in.placement_ref = &jr.job.placement();  // borrow; avoids copying it
   in.slowest_worker_factor = jr.job.slowest_worker_factor();
   in.net_bw_bps = jr.net_bw_bps;  // 0 under the flat model (Eqn-2 constant)
   double speed = TrainingSpeed(in, config_.comm);
@@ -879,7 +842,7 @@ bool Simulator::RefreshNetwork() {
   // Serial by construction: runs after scheduling (and after fault-edge
   // evictions on the event engine), never inside a parallel phase, and the
   // solve itself is a pure function of the job-ordered placements — so the
-  // resolved bandwidths are bitwise identical across threads and shards.
+  // resolved bandwidths are bitwise identical across thread counts.
   net_->BeginRound();
   for (const auto& jr : jobs_) {
     if (jr == nullptr || !jr->arrived ||
@@ -918,22 +881,11 @@ double Simulator::BackgroundShare(double t) const {
          (0.5 + 0.5 * std::sin(kTwoPi * t / config_.background_period_s));
 }
 
-void Simulator::HarvestPlacement(Job* job) {
-  JobPlacement* p = job->mutable_placement();
-  const bool dense_full = p->workers_per_server.size() == servers_.size() &&
-                          p->ps_per_server.size() == servers_.size();
-  if (dense_full || p->compact()) {
-    placement_spares_.push_back(std::move(*p));
-    *p = JobPlacement{};
-  }
-}
-
 void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   Job& job = jr->job;
   const double lost = job.RollbackToCheckpoint();
   metrics_.rolled_back_steps += lost;
   job.AddStall(CheckpointStallSeconds(*job.spec().model, config_.checkpoint));
-  HarvestPlacement(&job);
   job.SetAllocation(0, 0, {});
   job.set_state(job.steps_done() > 0 ? JobState::kPaused : JobState::kPending);
   jr->load_valid = false;
@@ -1021,8 +973,8 @@ void Simulator::ApplyFaults() {
       const JobPlacement& placement = jr->job.placement();
       bool hit = false;
       std::string detail;
-      // Visit only the servers this job occupies (ascending, same order as
-      // the dense scan) — O(tasks) instead of O(servers) per job.
+      // Visit only the servers this job occupies (ascending) — O(tasks)
+      // instead of O(servers) per job.
       placement.ForEachUsed([&](size_t s, int w_k, int p_k) {
         if (hit || (w_k <= 0 && p_k <= 0)) {
           return;
@@ -1204,23 +1156,7 @@ void Simulator::ScheduleActiveJobs() {
   // Allocate convenience overload building a hidden one) so its probe/eval
   // counters can feed the metrics registry. Decisions are identical.
   SpeedSurfaceSet surfaces;
-  AllocationMap alloc;
-  if (shard_plan_.num_shards() > 1) {
-    // Two-phase sharded round (docs/ALGORITHMS.md §18): parallel per-shard
-    // local passes warm the speed-surface memo tables, then the canonical
-    // allocator runs the serial cross-shard fixup over the full capacity on
-    // the warmed tables. Decisions, the live alloc_stats_ counters, and the
-    // surface counters harvested below are bitwise identical to the
-    // unsharded call (phase 1 writes its counters into sharded_stats_ only).
-    const auto local_factory = [this](OptimusAllocRoundStats* stats) {
-      return MakeAllocator(config_, stats);
-    };
-    alloc = ShardedAllocate(shard_plan_, sched_jobs, capacity, *allocator_,
-                            local_factory, &surfaces, pool_.get(),
-                            &sharded_stats_);
-  } else {
-    alloc = allocator_->Allocate(sched_jobs, capacity, &surfaces);
-  }
+  AllocationMap alloc = allocator_->Allocate(sched_jobs, capacity, &surfaces);
   surface_probes_ += surfaces.probes();
   surface_evals_ += surfaces.evals();
   surface_count_ += static_cast<int64_t>(surfaces.num_surfaces());
@@ -1260,26 +1196,12 @@ void Simulator::ScheduleActiveJobs() {
 
   // Placement covers frozen jobs (at their existing counts) plus newly
   // allocated ones.
-  // Each job donates last round's placement buffers for reuse (recycle): the
-  // apply loop below unconditionally reassigns every active job's placement,
-  // so nothing reads the moved-from state. Jobs without sized buffers (first
-  // placement, or buffers harvested on pause/eviction) draw from the spare
-  // pool first so steady-state rounds allocate no server-sized vectors.
-  auto donor = [this](JobRuntime* jr) {
-    JobPlacement* p = jr->job.mutable_placement();
-    if (p->empty() && !placement_spares_.empty()) {
-      *p = std::move(placement_spares_.back());
-      placement_spares_.pop_back();
-    }
-    return p;
-  };
   std::vector<PlacementJobInput> inputs;
   for (JobRuntime* jr : frozen) {
     inputs.push_back({jr->job.id(),
                       {jr->job.num_ps(), jr->job.num_workers()},
                       jr->job.spec().worker_demand,
                       jr->job.spec().ps_demand,
-                      donor(jr),
                       jr->job.spec().comm});
   }
   for (JobRuntime* jr : schedulable) {
@@ -1288,21 +1210,10 @@ void Simulator::ScheduleActiveJobs() {
       a = it->second;
     }
     inputs.push_back({jr->job.id(), a, jr->job.spec().worker_demand,
-                      jr->job.spec().ps_demand, donor(jr),
-                      jr->job.spec().comm});
+                      jr->job.spec().ps_demand, jr->job.spec().comm});
   }
-  // Sharded placement keeps one lazy heap per shard and pops via a
-  // tournament reproducing the global most-free order, with compact
-  // (occupied-servers-only) output vectors; it is decision-identical to the
-  // legacy kOptimusPack path. Other placement policies take the legacy path.
-  const bool sharded_placement =
-      shard_plan_.num_shards() > 1 &&
-      config_.placement == PlacementPolicy::kOptimusPack;
-  PlacementResult placed =
-      sharded_placement
-          ? PlaceJobsSharded(shard_plan_, inputs, &servers)
-          : PlaceJobs(config_.placement, inputs, &servers,
-                      /*shrink_to_fit=*/true, config_.rack_size);
+  PlacementResult placed = PlaceJobs(config_.placement, inputs, &servers,
+                                     /*shrink_to_fit=*/true, config_.rack_size);
 
   // Index the placement result once instead of two map lookups per job: the
   // two maps carry identical key sets (both filled on successful placement),
@@ -1353,16 +1264,8 @@ void Simulator::ScheduleActiveJobs() {
     bool scaled = false;
     if (placeable) {
       const bool first_schedule = old_state == JobState::kPending;
-      if (!config_.sparse_placement && !placement->compact()) {
-        // Baseline mode: drop the sparse index so every placement walk falls
-        // back to the dense O(n_servers) scan. ForEachUsed visits the same
-        // nonzero entries either way, so outputs are bit-identical. Compact
-        // placements (sharded fast path) have no dense vectors to fall back
-        // to, so they keep their index.
-        placement->used_servers.clear();
-      }
-      // `placed` is dead after this loop, so the placement's server vectors
-      // can move into the job instead of being copied.
+      // `placed` is dead after this loop, so the placement's vectors can
+      // move into the job instead of being copied.
       scaled = jr->job.SetAllocation(a.num_ps, a.num_workers, std::move(*placement));
       if (batch_by_index[job_idx] >= 0) {
         // 0 resets to the configured batch (non-adaptive policies and
@@ -1388,7 +1291,6 @@ void Simulator::ScheduleActiveJobs() {
                        a.num_workers);
       }
     } else {
-      HarvestPlacement(&jr->job);
       jr->job.SetAllocation(0, 0, {});
       jr->job.set_batch_override(0);
       auditor_.ClearPlacement(id);
@@ -1624,7 +1526,6 @@ void Simulator::AdvanceInterval() {
       ++completed_;
       ++metrics_.completed_jobs;
       auditor_.ClearPlacement(jr->job.id());
-      HarvestPlacement(&jr->job);
       done.push_back(i);
     }
     if (!out.ran) {
@@ -1926,7 +1827,6 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   const int event_ps = job.num_ps();
   const int event_workers = job.num_workers();
   if (job.num_workers() > 0 || job.num_ps() > 0) {
-    HarvestPlacement(&job);
     job.SetAllocation(0, 0, {});
   }
   auditor_.ClearPlacement(job.id());

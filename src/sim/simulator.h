@@ -22,7 +22,6 @@
 #include "src/cluster/data_serving.h"
 #include "src/cluster/job.h"
 #include "src/cluster/server.h"
-#include "src/cluster/shard_plan.h"
 #include "src/cluster/straggler.h"
 #include "src/common/rng.h"
 #include "src/models/loss_curve.h"
@@ -38,7 +37,6 @@
 #include "src/sched/placement.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/scheduler_registry.h"
-#include "src/sched/sharded_round.h"
 #include "src/sched/what_if.h"
 #include "src/sim/event_kernel.h"
 #include "src/sim/fault_injector.h"
@@ -104,7 +102,7 @@ struct SimulatorConfig {
   // bandwidths from a NIC/rack-uplink fabric built over `rack_size`-wide
   // racks. Per-job bandwidths are refreshed serially at scheduling rounds
   // (and fault edges, on the event engine), so outputs stay bitwise
-  // identical across thread counts and shard counts.
+  // identical across thread counts.
   NetworkConfig net;
   CheckpointConfig checkpoint;
   StragglerConfig straggler;
@@ -192,36 +190,18 @@ struct SimulatorConfig {
   bool model_caching = true;
   // Observability: metrics registry, flight recorder, series sampling.
   ObservabilityConfig obs;
-  // Sparse placement iteration: jobs carry the sorted list of servers they
-  // occupy (JobPlacement::used_servers), so speed evaluation, eviction scans
-  // and audit updates walk O(tasks) entries instead of the dense O(servers)
-  // vectors. Outputs are bit-identical either way; false restores the dense
-  // scans (baseline mode for benchmarks).
-  bool sparse_placement = true;
-  // Two-phase sharded scheduling rounds (docs/ALGORITHMS.md §18): servers are
-  // partitioned into `shards` rack-aligned contiguous pools. Allocation first
-  // runs locally per shard — in parallel on the job thread pool, each shard
-  // against its proportional capacity slice — to warm the speed-surface memo
-  // tables; a serial cross-shard fixup pass then allocates over the full
-  // cluster on the warmed tables, migrating grants across shard boundaries
-  // until no cross-shard marginal gain remains. Placement (kOptimusPack only)
-  // keeps one lazy server heap per shard and merges them with a tournament
-  // pop that reproduces the global most-free order. Decisions, RunMetrics,
-  // event traces, and the deterministic metric catalog are bitwise identical
-  // for every (shards, threads) combination; 1 = the unsharded round.
-  int shards = 1;
   // Rack width in contiguous server ids (the scenario DSL's
-  // `cluster.rack_size`) used to align shard boundaries; 0 = one rack spans
-  // the cluster, letting shard boundaries fall anywhere.
+  // `cluster.rack_size`) used by kRackPack placement and the network fabric;
+  // 0 = one rack spans the cluster.
   int rack_size = 0;
   // Streaming job admission: arrival specs are held in a pending queue and
   // each Job record is materialized only when the simulation clock reaches
-  // its arrival, then retired (heavy state freed, placement buffers recycled
-  // through the spare pool, a compact RetiredJob record kept for the final
-  // aggregation) once it completes — peak memory tracks the ACTIVE job set
-  // instead of the full trace length. Requires the spec list to be sorted by
-  // arrival time (workload generators emit time-ordered traces); outputs are
-  // bitwise identical to the batch-materialized run.
+  // its arrival, then retired (heavy state freed, a compact RetiredJob
+  // record kept for the final aggregation) once it completes — peak memory
+  // tracks the ACTIVE job set instead of the full trace length. Requires the
+  // spec list to be sorted by arrival time (workload generators emit
+  // time-ordered traces); outputs are bitwise identical to the
+  // batch-materialized run.
   bool streaming = false;
   // Hash-only event trace: records update the trace's running FNV digest and
   // count but are not stored, so the trace costs O(1) memory at million-job
@@ -304,8 +284,6 @@ class Simulator {
   const RunMetrics& metrics() const { return metrics_; }
   // Lifecycle event log of the run so far.
   const EventTrace& trace() const { return trace_; }
-  // Two-phase sharded-round counters (all zero when knobs.shards <= 1).
-  const ShardedRoundStats& sharded_stats() const { return sharded_stats_; }
   // Network fabric model driving per-job bandwidths; null under the flat
   // (exact-compat) model. Stats are cumulative over the run's solves.
   const NetworkModel* network() const { return net_.get(); }
@@ -460,9 +438,8 @@ class Simulator {
   }
   // Retires the completed runtime in jobs_[idx]: folds the state the final
   // aggregation and the metrics walks need into the retired records, hands
-  // the auditor its NoteRetired, recycles placement buffers through the
-  // spare pool, and frees the runtime (jobs_[idx] becomes null; every loop
-  // over jobs_ skips null slots).
+  // the auditor its NoteRetired, and frees the runtime (jobs_[idx] becomes
+  // null; every loop over jobs_ skips null slots).
   void RetireJob(size_t idx);
   // Retires every completed, not-yet-retired runtime. No-op unless
   // config_.streaming. The interval engine sweeps at the end of each step;
@@ -497,13 +474,6 @@ class Simulator {
   // last checkpoint, charges the restore stall, releases the allocation, and
   // applies the relaunch backoff policy.
   void EvictJob(JobRuntime* jr, const std::string& reason);
-  // Reclaims a job's dense placement vectors into the spare pool when the job
-  // leaves the cluster (completion, eviction, pause). Paired with the donor
-  // path in ScheduleActiveJobs, steady-state rounds then recirculate a small
-  // working set of server-sized buffers instead of allocating (and
-  // page-faulting) fresh ones per first placement. No-op if the buffers were
-  // already moved out or never sized.
-  void HarvestPlacement(Job* job);
   void RunAudit();
   // Re-solves the network model over the current placements and refreshes
   // each running job's net_bw_bps. Serial (runs after scheduling and after
@@ -524,10 +494,6 @@ class Simulator {
 
   SimulatorConfig config_;
   std::vector<Server> servers_;
-  // Spare dense placement buffers (see HarvestPlacement); order is
-  // deterministic because harvest and donation both happen in serial,
-  // job-ordered code, and buffer identity never affects decisions.
-  std::vector<JobPlacement> placement_spares_;
   // Scratch copy of servers_ for each scheduling round's placement pass;
   // element-wise refreshed so its heap allocation is made once.
   std::vector<Server> servers_scratch_;
@@ -569,11 +535,6 @@ class Simulator {
   // declared before allocator_, which captures a pointer to it.
   OptimusAllocRoundStats alloc_stats_;
   std::unique_ptr<Allocator> allocator_;
-  // Rack-aligned server partition for the two-phase sharded round
-  // (config_.shards; a single-shard plan routes every call through the
-  // unsharded code paths) and the round's profiling counters.
-  ShardPlan shard_plan_;
-  ShardedRoundStats sharded_stats_;
   // Network fabric model; null under the flat (exact-compat) model.
   std::unique_ptr<NetworkModel> net_;
   StragglerModel straggler_;
@@ -653,13 +614,6 @@ class Simulator {
     Counter* net_contended_flows = nullptr;
     Gauge* net_max_link_util = nullptr;
     Gauge* net_mean_link_util = nullptr;
-    // Sharded-round profile (quarantined: registered with the wall_* tail).
-    Counter* shard_rounds = nullptr;
-    Counter* shard_local_grants = nullptr;
-    Counter* shard_local_evals = nullptr;
-    Counter* shard_warmed_points = nullptr;
-    Counter* shard_migrated_jobs = nullptr;
-    Counter* shard_migrated_tasks = nullptr;
     Gauge* sim_time = nullptr;
     Gauge* running_tasks = nullptr;
     Histogram* jct_seconds = nullptr;

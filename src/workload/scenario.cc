@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -248,7 +249,8 @@ SimulatorConfig ScenarioSpec::MakeSimConfig(const std::string& policy,
   std::string error;
   OPTIMUS_CHECK(ApplySchedulerPolicy(policy, &config, &error)) << error;
   config.seed = seed + static_cast<uint64_t>(repeat);
-  // Shard boundaries align to the scenario's rack layout (0 = one rack).
+  // Rack-aware placement and the network fabric use the scenario's rack
+  // layout (0 = one rack).
   config.rack_size = cluster.rack_size;
   return config;
 }
@@ -288,10 +290,16 @@ class ScenarioParser {
   }
 
   // Rejects keys outside `allowed` (strict mode: a typo'd knob must not
-  // silently become a default).
+  // silently become a default). Keys in `removed` (key -> why) get a
+  // diagnostic naming the removal instead of "unknown key".
   void CheckKeys(const JsonValue& obj, const std::string& path,
-                 const std::vector<std::string>& allowed) {
+                 const std::vector<std::string>& allowed,
+                 const std::map<std::string, std::string>& removed = {}) {
     for (const std::string& key : obj.Keys()) {
+      if (const auto it = removed.find(key); it != removed.end()) {
+        Error(*obj.Find(key), path, "key \"" + key + "\" was removed: " + it->second);
+        continue;
+      }
       bool found = false;
       for (const std::string& a : allowed) {
         if (key == a) {
@@ -686,9 +694,12 @@ class ScenarioParser {
     }
     CheckKeys(obj, path,
               {"interval_s", "stragglers", "oracle", "background_share",
-               "audit", "max_sim_time_s", "engine", "shards", "streaming"});
+               "audit", "max_sim_time_s", "engine", "streaming"},
+              {{"shards",
+                "the two-phase sharded scheduling round is gone; one compact "
+                "placement path serves every cluster size and was faster than "
+                "the sharded round (docs/ALGORITHMS.md section 18)"}});
     ReadDouble(obj, "interval_s", path, &out->interval_s);
-    ReadIntField(obj, "shards", path, &out->shards);
     ReadBool(obj, "streaming", path, &out->streaming);
     ReadDouble(obj, "stragglers", path,
                &out->straggler.injection_prob_per_interval);
@@ -778,23 +789,6 @@ class ScenarioParser {
     }
     if (const JsonValue* v = root.Find("network")) {
       ParseNetwork(*v, &spec->sim.net);
-    }
-    // shards ranges over the cluster, which is only known now (knobs parse
-    // first); diagnose against the actual server count, at the knob's
-    // position.
-    if (const JsonValue* knobs = root.Find("knobs")) {
-      const JsonValue* sh =
-          knobs->is_object() ? knobs->Find("shards") : nullptr;
-      if (sh != nullptr) {
-        const int num_servers = spec->cluster.NumServers();
-        if (spec->sim.shards < 1 || spec->sim.shards > num_servers) {
-          Error(*sh, "knobs.shards",
-                "must be in [1, " + std::to_string(num_servers) +
-                    "] (cluster has " + std::to_string(num_servers) +
-                    " server(s); got " + std::to_string(spec->sim.shards) +
-                    ")");
-        }
-      }
     }
     spec->workload.arrivals.interval_s = spec->sim.interval_s;
     if (const JsonValue* v = root.Find("workload")) {

@@ -111,11 +111,10 @@ TEST(PlacementFuzzTest, ServerCapacityAndCountsInvariant) {
       std::vector<Resources> used(servers.size());
       for (const auto& [id, placement] : result.placements) {
         const PlacementJobInput& job = jobs[static_cast<size_t>(id)];
-        ASSERT_EQ(placement.workers_per_server.size(), servers.size());
-        for (size_t s = 0; s < servers.size(); ++s) {
-          used[s] += job.worker_demand * placement.workers_per_server[s] +
-                     job.ps_demand * placement.ps_per_server[s];
-        }
+        placement.ForEachUsed([&](size_t s, int w, int p) {
+          ASSERT_LT(s, servers.size());
+          used[s] += job.worker_demand * w + job.ps_demand * p;
+        });
         // Task counts match the effective allocation.
         const Allocation eff = result.effective_alloc.at(id);
         EXPECT_EQ(placement.TotalWorkers(), eff.num_workers);
@@ -159,8 +158,9 @@ TEST(PlacementFuzzTest, DeterministicAcrossCalls) {
   ASSERT_EQ(a.placements.size(), b.placements.size());
   for (const auto& [id, pa] : a.placements) {
     const JobPlacement& pb = b.placements.at(id);
-    EXPECT_EQ(pa.workers_per_server, pb.workers_per_server);
-    EXPECT_EQ(pa.ps_per_server, pb.ps_per_server);
+    EXPECT_EQ(pa.used_servers, pb.used_servers);
+    EXPECT_EQ(pa.used_workers, pb.used_workers);
+    EXPECT_EQ(pa.used_ps, pb.used_ps);
   }
 }
 

@@ -26,8 +26,7 @@ struct Fixture {
   Fixture() {
     servers.push_back(Server(0, Resources(16, 64, 0, 1)));
     servers.push_back(Server(1, Resources(16, 64, 0, 1)));
-    placement.workers_per_server = {2, 0};
-    placement.ps_per_server = {1, 0};
+    placement.Add(0, 2, 1);
     view.job_id = 0;
     view.state = JobState::kRunning;
     view.steps_done = 10.0;
@@ -77,7 +76,7 @@ TEST(IncrementalAuditorTest, CatchesDeadServerIncrementally) {
 TEST(IncrementalAuditorTest, CatchesOvercommitIncrementally) {
   Fixture f;
   // 8 workers at 10 GB each overflow the server's 64 GB.
-  f.placement.workers_per_server = {8, 0};
+  f.placement.used_workers[0] = 8;
   f.view.num_workers = 8;
   InvariantAuditor auditor;
   f.Track(&auditor);
@@ -117,8 +116,8 @@ TEST(IncrementalAuditorTest, FullCrossCheckCatchesCorruptedTracker) {
   // the truth but different servers. The cheap incremental check only
   // compares totals, so it passes...
   JobPlacement corrupted;
-  corrupted.workers_per_server = {1, 1};
-  corrupted.ps_per_server = {0, 1};
+  corrupted.Add(0, 1, 0);
+  corrupted.Add(1, 1, 1);
   auditor.SetPlacement(f.view.job_id, f.view.worker_demand, f.view.ps_demand,
                        corrupted);
   auditor.CheckIncremental(600.0, f.servers, {f.view}, f.counts);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/models/model_zoo.h"
 #include "src/net/network_model.h"
 #include "src/pserver/comm_model.h"
@@ -20,12 +23,14 @@ NetworkConfig FabricConfig(NetworkConfig::Model model, double oversubscription) 
   return config;
 }
 
-JobPlacement WorkersOn(const std::vector<int>& servers, int n_servers = 8) {
-  JobPlacement placement;
-  placement.workers_per_server.assign(static_cast<size_t>(n_servers), 0);
-  placement.ps_per_server.assign(static_cast<size_t>(n_servers), 0);
+JobPlacement WorkersOn(const std::vector<int>& servers) {
+  std::map<int, int> workers;  // ascending server order, as Add requires
   for (int s : servers) {
-    placement.workers_per_server[static_cast<size_t>(s)] += 1;
+    ++workers[s];
+  }
+  JobPlacement placement;
+  for (const auto& [s, w] : workers) {
+    placement.Add(s, w, 0);
   }
   return placement;
 }
@@ -237,8 +242,7 @@ TEST_F(AllReduceStepTimeTest, SingleWorkerRingNeverTransfers) {
 
 TEST_F(AllReduceStepTimeTest, SingleServerRingNeverTransfers) {
   StepTimeInputs in = Inputs(4);
-  in.placement.workers_per_server = {4};
-  in.placement.ps_per_server = {0};
+  in.placement.Add(0, 4, 0);
   EXPECT_DOUBLE_EQ(ComputeStepTime(in, config_).transfer_s, 0.0);
 }
 

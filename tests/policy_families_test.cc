@@ -424,10 +424,9 @@ struct RunOutputs {
 };
 
 RunOutputs RunPolicy(const ScenarioSpec& scenario, const std::string& policy,
-                     SimEngine engine, int shards, int threads) {
+                     SimEngine engine, int threads) {
   SimulatorConfig config = scenario.MakeSimConfig(policy);
   config.engine = engine;
-  config.shards = shards;
   config.threads = threads;
   config.audit = true;
   Simulator sim(config, scenario.cluster.Build(), scenario.JobsForRepeat());
@@ -450,7 +449,7 @@ void ExpectBitwiseEqual(const RunOutputs& a, const RunOutputs& b,
   EXPECT_EQ(a.trace_records, b.trace_records) << label;
 }
 
-TEST(PolicyFamiliesEndToEndTest, NewPoliciesAreShardAndThreadInvariant) {
+TEST(PolicyFamiliesEndToEndTest, NewPoliciesAreThreadInvariantOnBothEngines) {
   ScenarioSpec scenario;
   std::string error;
   ASSERT_TRUE(LoadScenarioFile(ScenarioPath("batch_adaptive.json"), &scenario,
@@ -458,16 +457,14 @@ TEST(PolicyFamiliesEndToEndTest, NewPoliciesAreShardAndThreadInvariant) {
       << error;
   for (const char* policy : {"goodput", "synergy", "dl2"}) {
     for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-      const RunOutputs reference = RunPolicy(scenario, policy, engine, 1, 1);
+      const RunOutputs reference = RunPolicy(scenario, policy, engine, 1);
       EXPECT_EQ(reference.metrics.audit_violations, 0)
           << policy << " " << SimEngineName(engine);
       EXPECT_GT(reference.metrics.completed_jobs, 0);
-      for (const auto& [shards, threads] :
-           std::vector<std::pair<int, int>>{{2, 2}, {4, 8}}) {
-        ExpectBitwiseEqual(
-            RunPolicy(scenario, policy, engine, shards, threads), reference,
-            std::string(policy) + " " + SimEngineName(engine) + " shards=" +
-                std::to_string(shards) + " threads=" + std::to_string(threads));
+      for (const int threads : {2, 8}) {
+        ExpectBitwiseEqual(RunPolicy(scenario, policy, engine, threads), reference,
+                           std::string(policy) + " " + SimEngineName(engine) +
+                               " threads=" + std::to_string(threads));
       }
     }
   }
@@ -485,8 +482,8 @@ TEST(PolicyFamiliesEndToEndTest, GoodputWithPinnedBatchMatchesOptimus) {
   scenario.workload.batch_min = 256;
   scenario.workload.batch_max = 256;
   for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
-    ExpectBitwiseEqual(RunPolicy(scenario, "goodput", engine, 1, 1),
-                       RunPolicy(scenario, "optimus", engine, 1, 1),
+    ExpectBitwiseEqual(RunPolicy(scenario, "goodput", engine, 1),
+                       RunPolicy(scenario, "optimus", engine, 1),
                        std::string("pinned-batch ") + SimEngineName(engine));
   }
 }
@@ -500,9 +497,9 @@ TEST(PolicyFamiliesEndToEndTest, GoodputAdaptsBatchesAndBeatsOptimusHere) {
                                &error))
       << error;
   const RunOutputs optimus =
-      RunPolicy(scenario, "optimus", SimEngine::kInterval, 1, 1);
+      RunPolicy(scenario, "optimus", SimEngine::kInterval, 1);
   const RunOutputs goodput =
-      RunPolicy(scenario, "goodput", SimEngine::kInterval, 1, 1);
+      RunPolicy(scenario, "goodput", SimEngine::kInterval, 1);
   ASSERT_EQ(optimus.metrics.completed_jobs, goodput.metrics.completed_jobs);
   EXPECT_LT(goodput.metrics.avg_jct_s, optimus.metrics.avg_jct_s);
 }

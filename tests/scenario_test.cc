@@ -305,43 +305,33 @@ TEST(ScenarioTest, DiagnosticsCarrySourcePositions) {
   EXPECT_NE(error.find("pos.json:5"), std::string::npos) << error;
 }
 
-TEST(ScenarioTest, ShardsKnobRangeCheckedAgainstCluster) {
-  // shards ranges over [1, server count]; violations carry the knob's own
-  // source position and the allowed range.
-  const char* kTemplate =
+TEST(ScenarioTest, RemovedShardsKnobIsPositionedError) {
+  // knobs.shards was removed with the sharded scheduling round; a scenario
+  // still carrying it fails at the key's own source position with a message
+  // naming the removal, not a generic unknown-key error.
+  const char* kScenario =
       "{\n  \"schema\": \"scenario-v1\",\n  \"name\": \"x\",\n"
       "  \"policy\": \"optimus\",\n"
       "  \"cluster\": {\"classes\": [{\"name\": \"a\", \"count\": 4,"
       " \"cpu\": 16, \"memory_gb\": 80, \"gpu\": 0, \"bandwidth_gbps\": 1}]},\n"
-      "  \"knobs\": {\"shards\": %d}\n}";
-  char buf[1024];
+      "  \"knobs\": {\"engine\": \"events\", \"shards\": 4}\n}";
   ScenarioSpec spec;
   std::string error;
-
-  std::snprintf(buf, sizeof(buf), kTemplate, 9);
-  EXPECT_FALSE(ParseScenario(buf, "shards.json", &spec, &error));
-  EXPECT_NE(error.find("shards.json:6"), std::string::npos) << error;
-  EXPECT_NE(error.find("knobs.shards"), std::string::npos) << error;
-  EXPECT_NE(error.find("[1, 4]"), std::string::npos) << error;
-
-  std::snprintf(buf, sizeof(buf), kTemplate, 0);
-  EXPECT_FALSE(ParseScenario(buf, "shards.json", &spec, &error));
-  EXPECT_NE(error.find("[1, 4]"), std::string::npos) << error;
-
-  std::snprintf(buf, sizeof(buf), kTemplate, 4);
-  EXPECT_TRUE(ParseScenario(buf, "shards.json", &spec, &error)) << error;
-  EXPECT_EQ(spec.sim.shards, 4);
+  EXPECT_FALSE(ParseScenario(kScenario, "shards.json", &spec, &error));
+  EXPECT_NE(error.find("shards.json:6:"), std::string::npos) << error;
+  EXPECT_NE(error.find("\"shards\" was removed"), std::string::npos) << error;
+  EXPECT_NE(error.find("compact placement path"), std::string::npos) << error;
+  EXPECT_EQ(error.find("unknown key"), std::string::npos) << error;
 }
 
-TEST(ScenarioTest, MakeSimConfigCarriesRackLayoutToShards) {
+TEST(ScenarioTest, MakeSimConfigCarriesRackLayout) {
   ScenarioSpec spec;
   std::string error;
   ASSERT_TRUE(ParseScenario(kValidScenario, "t", &spec, &error)) << error;
-  // Shard boundaries align to the scenario's racks: the cluster's rack_size
-  // rides into the per-cell SimulatorConfig.
+  // Rack-aware placement and the network fabric use the scenario's racks:
+  // the cluster's rack_size rides into the per-cell SimulatorConfig.
   const SimulatorConfig config = spec.MakeSimConfig("optimus");
   EXPECT_EQ(config.rack_size, 2);
-  EXPECT_EQ(config.shards, 1);  // default: unsharded
 }
 
 TEST(ScenarioTest, SchemaAndPolicyRequired) {

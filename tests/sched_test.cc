@@ -305,14 +305,7 @@ TEST(PlacementTest, OptimusPacksOntoFewestServers) {
   PlacementResult result =
       PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 2, 2)}, Uniform(4, 20));
   ASSERT_TRUE(result.placements.count(0));
-  const JobPlacement& p = result.placements[0];
-  int servers_used = 0;
-  for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-    if (p.workers_per_server[s] + p.ps_per_server[s] > 0) {
-      ++servers_used;
-    }
-  }
-  EXPECT_EQ(servers_used, 1);
+  EXPECT_EQ(result.placements[0].used_servers.size(), 1u);
 }
 
 TEST(PlacementTest, OptimusSpreadsEvenlyWhenMultipleServersNeeded) {
@@ -322,14 +315,11 @@ TEST(PlacementTest, OptimusSpreadsEvenlyWhenMultipleServersNeeded) {
       PlaceJobs(PlacementPolicy::kOptimusPack, {PJob(0, 4, 4)}, Uniform(4, 20));
   ASSERT_TRUE(result.placements.count(0));
   const JobPlacement& p = result.placements[0];
-  for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-    const int total = p.workers_per_server[s] + p.ps_per_server[s];
-    EXPECT_TRUE(total == 0 || total == 4) << "server " << s;
-    if (total == 4) {
-      EXPECT_EQ(p.workers_per_server[s], 2);
-      EXPECT_EQ(p.ps_per_server[s], 2);
-    }
-  }
+  EXPECT_EQ(p.used_servers.size(), 2u);
+  p.ForEachUsed([](size_t s, int w, int ps) {
+    EXPECT_EQ(w, 2) << "server " << s;
+    EXPECT_EQ(ps, 2) << "server " << s;
+  });
 }
 
 TEST(PlacementTest, CountsMatchAllocation) {
@@ -364,9 +354,7 @@ TEST(PlacementTest, RespectsServerCapacity) {
     // must never exceed 4 tasks.
     std::vector<int> per_server(4, 0);
     for (const auto& [id, p] : result.placements) {
-      for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-        per_server[s] += p.workers_per_server[s] + p.ps_per_server[s];
-      }
+      p.ForEachUsed([&](size_t s, int w, int ps) { per_server[s] += w + ps; });
     }
     for (int c : per_server) {
       EXPECT_LE(c, 4);
@@ -398,14 +386,7 @@ TEST(PlacementTest, LoadBalanceSpreadsTasks) {
   PlacementResult result =
       PlaceJobs(PlacementPolicy::kLoadBalance, {PJob(0, 2, 2)}, Uniform(4, 20));
   ASSERT_TRUE(result.placements.count(0));
-  const JobPlacement& p = result.placements[0];
-  int servers_used = 0;
-  for (size_t s = 0; s < p.workers_per_server.size(); ++s) {
-    if (p.workers_per_server[s] + p.ps_per_server[s] > 0) {
-      ++servers_used;
-    }
-  }
-  EXPECT_EQ(servers_used, 4);  // one task per server
+  EXPECT_EQ(result.placements[0].used_servers.size(), 4u);  // one task per server
 }
 
 TEST(PlacementTest, TetrisPacksTightly) {
@@ -417,7 +398,8 @@ TEST(PlacementTest, TetrisPacksTightly) {
       PlaceJobs(PlacementPolicy::kTetrisPack, {PJob(0, 1, 1)}, servers);
   ASSERT_TRUE(result.placements.count(0));
   const JobPlacement& p = result.placements[0];
-  EXPECT_EQ(p.workers_per_server[1] + p.ps_per_server[1], 2);
+  ASSERT_EQ(p.used_servers, std::vector<int>{1});
+  EXPECT_EQ(p.TotalWorkers() + p.TotalPs(), 2);
 }
 
 TEST(PlacementTest, SmallestJobPlacedFirstAvoidsStarvation) {

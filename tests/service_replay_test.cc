@@ -310,5 +310,69 @@ TEST(ServiceReplayTest, ReplayedRunMatchesBatchSimulatorRun) {
       << "service-mode chunked run drifted from the batch simulator";
 }
 
+TEST(ServiceReplayTest, RelativeAdvancesMoveTheClockOnBothEngines) {
+  // On the event engine now_s only reaches the last processed event, so a
+  // relative advance must count from the furthest target reached, not from
+  // now_s, or repeated small dt_s requests leave the clock standing. On the
+  // interval engine now_s already sits at or past every target reached.
+  const std::string genesis = R"({
+  "schema": "scenario-v1", "name": "relative_advance", "seed": 5,
+  "policies": ["optimus"],
+  "workload": {"jobs": 200, "arrivals": {"kind": "uniform", "window_s": 6000.0},
+               "sizes": {"kind": "zoo", "target_steps_per_epoch": 20}},
+  "cluster": {"classes": [{"name": "std", "count": 32, "cpu": 16,
+                           "memory_gb": 80, "gpu": 0, "bandwidth_gbps": 1}]}
+})";
+  constexpr int kSteps = 200;
+  constexpr double kDt = 30.0;
+  constexpr double kIntervalS = 600.0;  // the scenario's scheduling interval
+  std::string relative, absolute;
+  for (int k = 1; k <= kSteps; ++k) {
+    relative += R"({"op": "advance", "dt_s": 30})" "\n";
+    absolute += R"({"op": "advance", "to_s": )" + std::to_string(k * kDt) + "}\n";
+  }
+  auto make = [&](SimEngine engine) {
+    SessionOverrides overrides;
+    overrides.engine = engine;
+    std::string error;
+    std::unique_ptr<ServiceSession> session =
+        ServiceSession::Create(genesis, "relative.json", overrides, &error);
+    EXPECT_NE(session, nullptr) << error;
+    return session;
+  };
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SCOPED_TRACE(SimEngineName(engine));
+    std::unique_ptr<ServiceSession> rel = make(engine);
+    ASSERT_NE(rel, nullptr);
+    EXPECT_EQ(Replay(rel.get(), relative).result.errors, 0);
+    EXPECT_GE(rel->simulator().now_s(), kSteps * kDt - kIntervalS);
+
+    if (engine == SimEngine::kEvents) {
+      // Relative steps land exactly where absolute steps to the cumulative
+      // targets land.
+      std::unique_ptr<ServiceSession> abs = make(engine);
+      ASSERT_NE(abs, nullptr);
+      EXPECT_EQ(Replay(abs.get(), absolute).result.errors, 0);
+      EXPECT_EQ(rel->simulator().now_s(), abs->simulator().now_s());
+      EXPECT_EQ(SimReport(&rel->simulator()), SimReport(&abs->simulator()));
+    }
+
+    // A restore replays the journal, which rebuilds the reached target: the
+    // next relative step answers identically on both sessions.
+    JsonObject restore;
+    restore.Set("op", "restore");
+    restore.Set("genesis", rel->genesis_text());
+    restore.Set("journal", rel->journal());
+    std::unique_ptr<ServiceSession> restored = make(engine);
+    ASSERT_NE(restored, nullptr);
+    bool shutdown = false;
+    const std::string restore_resp =
+        restored->HandleLine(restore.ToCompactString(), &shutdown);
+    EXPECT_NE(restore_resp.find("\"ok\":true"), std::string::npos) << restore_resp;
+    const std::string step = R"({"op": "advance", "id": 1, "dt_s": 600})" "\n";
+    EXPECT_EQ(Replay(restored.get(), step).responses, Replay(rel.get(), step).responses);
+  }
+}
+
 }  // namespace
 }  // namespace optimus

@@ -21,8 +21,8 @@ cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
 # Perf smoke: a seconds-scale scheduling round with and without the speed
-# surface; writes/updates BENCH_sched.json in the working directory.
-"${build_dir}/bench/bench_fig12_scalability" --smoke
+# surface. (--json routed away from the committed full-scale BENCH_sched.json.)
+"${build_dir}/bench/bench_fig12_scalability" --smoke --json=BENCH_sched_smoke.json
 
 # Interval-engine smoke: baseline vs parallel incremental engine; exits
 # nonzero if any row's metrics diverge from the baseline's. Under
@@ -37,18 +37,24 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # (docs/ALGORITHMS.md section 16).
 "${build_dir}/bench/bench_events" --smoke --json=BENCH_events_smoke.json
 
-# Scale smoke: two-phase sharded rounds + streaming admission. Sweeps
-# (engine, shards, threads) cells on the committed scale_smoke scenario and
-# exits 3 if any cell's metrics or trace digest diverge from the per-engine
-# reference; also measures the shards=8 vs shards=1 round speedup
-# (docs/ALGORITHMS.md section 18).
+# Scale smoke: the compact placement path + streaming admission. Sweeps
+# (engine, threads) cells on the committed scale_smoke scenario and exits 3
+# if any cell's metrics or trace digest diverge from the per-engine
+# reference; also times a burst scheduling round and checks it is identical
+# across thread counts (docs/ALGORITHMS.md section 18).
 "${build_dir}/bench/bench_scale" --smoke \
   --scenario="${repo_root}/scenarios/scale_smoke.json" \
   --json=BENCH_scale_smoke.json
+for key in determinism_ok schedule_wall_s schedule_identical_across_threads \
+           trace_digest; do
+  grep -q "\"${key}\"" BENCH_scale_smoke.json || {
+    echo "BENCH_scale_smoke.json is missing ${key}" >&2; exit 1;
+  }
+done
 
 # Network smoke: fabric models + ring all-reduce (docs/NETWORK.md). Runs the
 # optimus vs optimus_rack comparison on the oversubscribed fabric and sweeps
-# (engine, shards, threads) cells over both committed network scenarios;
+# (engine, threads) cells over both committed network scenarios;
 # exits 3 on any cross-configuration divergence or if rack-aware placement
 # stops beating the baseline.
 "${build_dir}/bench/bench_net" --smoke \
@@ -58,7 +64,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
 # Policy-catalog smoke: every registered policy (goodput / synergy / dl2
 # included) on the batch-adaptive scenario, plus a per-policy determinism
-# sweep over engines x shards x threads. Exits 3 if any cell diverges from
+# sweep over engines x threads. Exits 3 if any cell diverges from
 # its (policy, engine) reference or if no non-Optimus-family policy beats
 # plain optimus on average JCT (docs/POLICIES.md).
 "${build_dir}/bench/bench_policies" --smoke \
