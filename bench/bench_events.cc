@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   // --smoke: a seconds-scale subset for tools/check.sh and CI.
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path = flags.GetString("json", "BENCH_events.json");
+  const std::string json_path = BenchJsonPath(flags, "events", smoke);
   for (const std::string& key : flags.UnconsumedKeys()) {
     std::cerr << "unknown flag --" << key << "\n";
     return 1;

@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   // --smoke: a seconds-scale subset for tools/check.sh and CI.
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path = flags.GetString("json", "BENCH_sched.json");
+  const std::string json_path = BenchJsonPath(flags, "sched", smoke);
   // --engine=interval|events|both restricts the end-to-end sweep; the figure
   // covers both engines by default.
   const std::string engine_flag = flags.GetString("engine", "both");

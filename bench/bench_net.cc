@@ -394,7 +394,7 @@ bool RunDeterminismSweep(const std::string& scenario_path,
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path = flags.GetString("json", "BENCH_net.json");
+  const std::string json_path = BenchJsonPath(flags, "net", smoke);
   const std::string fabric_scenario = flags.GetString(
       "fabric_scenario", "scenarios/oversubscribed_fabric.json");
   const std::string allreduce_scenario =

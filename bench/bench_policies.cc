@@ -230,7 +230,7 @@ bool RunDeterminismSweep(const ScenarioSpec& scenario, bool smoke,
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path = flags.GetString("json", "BENCH_policies.json");
+  const std::string json_path = BenchJsonPath(flags, "policies", smoke);
   const std::string scenario_path =
       flags.GetString("scenario", "scenarios/batch_adaptive.json");
   for (const std::string& key : flags.UnconsumedKeys()) {

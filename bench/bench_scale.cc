@@ -365,7 +365,7 @@ bool RunScheduleWall(bool smoke, JsonObject* section, std::string* why) {
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path = flags.GetString("json", "BENCH_scale.json");
+  const std::string json_path = BenchJsonPath(flags, "scale", smoke);
   const std::string scenario_path =
       flags.GetString("scenario", "scenarios/scale_smoke.json");
   // Internal: run one scale cell in this process and print its CELL line.

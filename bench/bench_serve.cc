@@ -69,9 +69,12 @@ RowResult RunRow(const std::string& log, int threads) {
   OPTIMUS_CHECK(session != nullptr) << error;
 
   std::istringstream in(log);
-  std::ostringstream out;
+  // Responses are produced but not kept: a full run answers ~370k JSON
+  // report snapshots, and buffering them all took over 8 GB of memory. A
+  // stream with no buffer drops each write.
+  std::ostream discard(nullptr);
   const auto start = std::chrono::steady_clock::now();
-  const ReplayResult replay = RunReplay(session.get(), in, out);
+  const ReplayResult replay = RunReplay(session.get(), in, discard);
   const auto end = std::chrono::steady_clock::now();
   OPTIMUS_CHECK(replay.exit_code == 0) << "audit violation under load";
 
@@ -101,7 +104,7 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
   const int64_t requests = flags.GetInt("requests", smoke ? 20000 : 1000000);
-  const std::string json_path = flags.GetString("json", "BENCH_serve.json");
+  const std::string json_path = BenchJsonPath(flags, "serve", smoke);
   for (const std::string& key : flags.UnconsumedKeys()) {
     std::cerr << "unknown flag --" << key << "\n";
     return 1;

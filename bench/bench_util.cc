@@ -17,6 +17,12 @@ void PrintExperimentHeader(const std::string& id, const std::string& title,
             << "================================================================\n";
 }
 
+std::string BenchJsonPath(const FlagParser& flags, const std::string& name,
+                          bool smoke) {
+  return flags.GetString("json",
+                         "BENCH_" + name + (smoke ? "_smoke" : "") + ".json");
+}
+
 double PeakRssMib() {
   std::ifstream status("/proc/self/status");
   if (!status.good()) {

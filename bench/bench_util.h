@@ -15,6 +15,7 @@
 // Machine-readable bench output (BENCH_sched.json and friends) goes through
 // the shared deterministic JSON writer; JsonObject and WriteBenchJsonSection
 // live there and are re-exported here for the bench binaries.
+#include "src/common/flags.h"
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
 #include "src/sim/experiment.h"
@@ -35,6 +36,12 @@ double PeakRssMib();
 // sim_s_per_wall_s (0 when wall_s is 0), and peak_rss_mib. Every harness that
 // reports run performance uses this so BENCH_*.json files agree on names.
 void SetPerfColumns(JsonObject* row, double wall_s, double sim_s);
+
+// The bench's --json output path. Without --json it is the committed
+// BENCH_<name>.json for a full run and the gitignored BENCH_<name>_smoke.json
+// under --smoke, so a smoke run never overwrites committed numbers.
+std::string BenchJsonPath(const FlagParser& flags, const std::string& name,
+                          bool smoke);
 
 // Runs the canonical three-scheduler comparison (Optimus, DRF, Tetris) under
 // the given base config and prints absolute + normalized JCT / makespan.

@@ -1,6 +1,7 @@
 #include "src/common/json_writer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -10,43 +11,67 @@
 
 namespace optimus {
 
-std::string EncodeJsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
+void AppendDouble17(double value, std::string* out) {
+  // The longest %.17g text, "-1.2345678901234567e-308", is 24 bytes.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
+
+void AppendJsonDouble(double value, std::string* out) {
+  if (std::isfinite(value)) {
+    AppendDouble17(value, out);
+  } else {
+    *out += "null";
+  }
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->reserve(out->size() + s.size() + 2);
+  *out += '"';
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
-  out += '"';
+  out->append(s.data() + run, s.size() - run);
+  *out += '"';
+}
+
+std::string EncodeJsonString(std::string_view s) {
+  std::string out;
+  AppendJsonString(s, &out);
   return out;
 }
 
 std::string EncodeJsonDouble(double value) {
-  if (!std::isfinite(value)) {
-    return "null";  // JSON has no NaN/Inf
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  std::string out;
+  AppendJsonDouble(value, &out);
+  return out;
 }
 
 std::string CompactJson(const std::string& encoded) {
@@ -175,7 +200,13 @@ std::string JsonObject::ToCompactString() const {
     if (i > 0) {
       out += ",";
     }
-    out += EncodeJsonString(entries_[i].first) + ":" + CompactJson(entries_[i].second);
+    AppendJsonString(entries_[i].first, &out);
+    out += ":";
+    // An encoded string holds no insignificant whitespace, so CompactJson
+    // would copy it unchanged: skip the re-scan (snapshot payloads are
+    // ~100 KB strings).
+    const std::string& value = entries_[i].second;
+    out += value[0] == '"' ? value : CompactJson(value);
   }
   out += "}";
   return out;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
-#include "src/obs/text_format.h"
+#include "src/common/json_writer.h"
 
 namespace optimus {
 
@@ -85,16 +85,21 @@ std::vector<FlightEvent> FlightRecorder::Events() const {
 }
 
 void FlightRecorder::Dump(std::ostream& os) const {
+  const auto number = [](double v) {
+    std::string text;
+    AppendDouble17(v, &text);
+    return text;
+  };
   os << "flight recorder: " << size() << " of " << total_recorded()
      << " event(s) retained (depth " << capacity_ << ")\n";
   for (const FlightEvent& e : Events()) {
-    os << "  [" << e.seq << "] t=" << obs_internal::FormatDouble17(e.time_s)
-       << " " << FlightEventKindName(e.kind) << " job=" << e.job_id;
+    os << "  [" << e.seq << "] t=" << number(e.time_s) << " "
+       << FlightEventKindName(e.kind) << " job=" << e.job_id;
     if (e.num_ps != 0 || e.num_workers != 0) {
       os << " ps=" << e.num_ps << " workers=" << e.num_workers;
     }
     if (e.value != 0.0) {
-      os << " value=" << obs_internal::FormatDouble17(e.value);
+      os << " value=" << number(e.value);
     }
     if (!e.detail.empty()) {
       os << " " << e.detail;
@@ -103,24 +108,25 @@ void FlightRecorder::Dump(std::ostream& os) const {
   }
 }
 
-void FlightRecorder::WriteJson(std::ostream& os, int indent) const {
+void FlightRecorder::AppendJson(int indent, std::string* out) const {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  os << "[";
-  bool first = true;
-  for (const FlightEvent& e : Events()) {
-    os << (first ? "\n" : ",\n") << pad << "  {\"seq\": " << e.seq
-       << ", \"time_s\": " << obs_internal::FormatDouble17(e.time_s)
-       << ", \"kind\": \"" << FlightEventKindName(e.kind) << "\""
-       << ", \"job\": " << e.job_id << ", \"ps\": " << e.num_ps
-       << ", \"workers\": " << e.num_workers
-       << ", \"value\": " << obs_internal::FormatDouble17(e.value)
-       << ", \"detail\": \"" << obs_internal::EscapeJson(e.detail) << "\"}";
-    first = false;
+  *out += "[";
+  const uint64_t first = next_seq_ - size();  // oldest retained sequence number
+  for (uint64_t s = first; s < next_seq_; ++s) {
+    const FlightEvent& e = ring_[static_cast<size_t>(s % capacity_)];
+    *out += (s == first ? "\n" : ",\n") + pad + "  {\"seq\": " +
+            std::to_string(e.seq) + ", \"time_s\": ";
+    AppendJsonDouble(e.time_s, out);
+    *out += std::string(", \"kind\": \"") + FlightEventKindName(e.kind) +
+            "\", \"job\": " + std::to_string(e.job_id) +
+            ", \"ps\": " + std::to_string(e.num_ps) +
+            ", \"workers\": " + std::to_string(e.num_workers) + ", \"value\": ";
+    AppendJsonDouble(e.value, out);
+    *out += ", \"detail\": ";
+    AppendJsonString(e.detail, out);
+    *out += "}";
   }
-  if (!first) {
-    os << "\n" << pad;
-  }
-  os << "]";
+  *out += first < next_seq_ ? "\n" + pad + "]" : "]";
 }
 
 }  // namespace optimus

@@ -73,8 +73,9 @@ class FlightRecorder {
   // on-violation post-mortem.
   void Dump(std::ostream& os) const;
 
-  // JSON array of events, oldest first (deterministic field order).
-  void WriteJson(std::ostream& os, int indent = 0) const;
+  // Appends the JSON array of events, oldest first (deterministic field
+  // order); `indent` is the array's nesting depth.
+  void AppendJson(int indent, std::string* out) const;
 
  private:
   size_t capacity_;

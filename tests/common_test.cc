@@ -1,9 +1,16 @@
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "src/common/json_writer.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -157,6 +164,81 @@ TEST(TablePrinterTest, CsvOutput) {
 TEST(TablePrinterTest, FormatDouble) {
   EXPECT_EQ(TablePrinter::FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::FormatDouble(2.0, 3), "2.000");
+}
+
+std::string PrintfG17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string Double17(double v) {
+  std::string out;
+  AppendDouble17(v, &out);
+  return out;
+}
+
+// AppendDouble17 is every export's number formatter; the goldens and the
+// bitwise determinism contract were recorded with printf's %.17g, so the two
+// must agree byte for byte on every double.
+TEST(JsonWriterTest, AppendDouble17MatchesPrintfG17) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {
+      0.0, -0.0, inf, -inf, nan, -nan,
+      std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN, DBL_MAX, -DBL_MAX, 42.0, -42.0, 1.0, 1e16, 1e17, 123456789012345678.0,
+      0.1, 1.0 / 3.0, 0.7, 1e-5, 1e-4, 2.5e-308, 600.0};
+  for (double v : edges) {
+    EXPECT_EQ(Double17(v), PrintfG17(v)) << "bits of " << PrintfG17(v);
+  }
+  EXPECT_EQ(Double17(42.0), "42");
+  EXPECT_EQ(Double17(-0.0), "-0");
+
+  std::mt19937_64 gen(0x0917u);
+  int mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const uint64_t bits = gen();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    const std::string got = Double17(v);
+    const std::string want = PrintfG17(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": " << got << " vs " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonWriterTest, NonFiniteJsonNumbersAreNull) {
+  EXPECT_EQ(EncodeJsonDouble(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(EncodeJsonDouble(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(EncodeJsonDouble(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(EncodeJsonDouble(0.5), "0.5");
+}
+
+// Runs of plain bytes are copied in bulk; every escape lands between them.
+TEST(JsonWriterTest, EncodeJsonStringEscapesBetweenRuns) {
+  EXPECT_EQ(EncodeJsonString(""), "\"\"");
+  EXPECT_EQ(EncodeJsonString("plain"), "\"plain\"");
+  EXPECT_EQ(EncodeJsonString("a\"b\\c\nd\te\x01" "f\r"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u000d\"");
+  EXPECT_EQ(EncodeJsonString("\n\n"), "\"\\n\\n\"");
+  EXPECT_EQ(EncodeJsonString("caf\xc3\xa9"), "\"caf\xc3\xa9\"");
+}
+
+// An encoded string value passes ToCompactString verbatim (whitespace inside
+// a string is data); other values are compacted.
+TEST(JsonWriterTest, ToCompactStringKeepsStringValuesVerbatim) {
+  JsonObject inner;
+  inner.Set("x", 1);
+  JsonObject o;
+  o.Set("payload", std::string("{\n  \"a\": [1, 2]\n}\n"));
+  o.Set("inner", inner);
+  o.Set("v", std::vector<double>{1.5, 2.0});
+  EXPECT_EQ(o.ToCompactString(),
+            "{\"payload\":\"{\\n  \\\"a\\\": [1, 2]\\n}\\n\","
+            "\"inner\":{\"x\":1},\"v\":[1.5,2]}");
 }
 
 }  // namespace

@@ -11,8 +11,12 @@
 //
 // then commit tests/golden/metrics.prom and tests/golden/run_report.json.
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -32,6 +36,7 @@
 #include "src/sim/invariant_auditor.h"
 #include "src/sim/simulator.h"
 #include "src/sim/workload.h"
+#include "src/workload/json.h"
 
 #ifndef OPTIMUS_SOURCE_DIR
 #error "OPTIMUS_SOURCE_DIR must be defined to locate the golden files"
@@ -292,10 +297,10 @@ TEST(FlightRecorderTest, DumpAndJsonCarryTheEventFields) {
   recorder.Dump(dump);
   EXPECT_NE(dump.str().find("scaled"), std::string::npos);
   EXPECT_NE(dump.str().find("slowdown"), std::string::npos);
-  std::ostringstream json;
-  recorder.WriteJson(json);
-  EXPECT_NE(json.str().find("\"kind\": \"scaled\""), std::string::npos);
-  EXPECT_NE(json.str().find("\"job\": 4"), std::string::npos);
+  std::string json;
+  recorder.AppendJson(0, &json);
+  EXPECT_NE(json.find("\"kind\": \"scaled\""), std::string::npos);
+  EXPECT_NE(json.find("\"job\": 4"), std::string::npos);
 }
 
 // The auditor's violation reports land in the flight recorder, so the
@@ -431,6 +436,151 @@ TEST(MetricsSeriesTest, ColumnsFreezeAtFirstSampleAndRowsAccumulate) {
   EXPECT_DOUBLE_EQ(f.series.times()[1], 1200.0);
 }
 
+// JSON has no NaN/Inf and Prometheus spells them +Inf/-Inf/NaN: a gauge that
+// goes non-finite must leave both exports parseable.
+TEST(ExporterTest, NonFiniteValuesExportAsNullAndPrometheusSpellings) {
+  MetricsRegistry registry;
+  Gauge* pos = registry.AddGauge("demo_pos", "Positive infinity.");
+  Gauge* neg = registry.AddGauge("demo_neg", "Negative infinity.");
+  Gauge* nan = registry.AddGauge("demo_nan", "Not a number.");
+  Histogram* lat = registry.AddHistogram("demo_lat", "Latency.", {1.0});
+  pos->Set(std::numeric_limits<double>::infinity());
+  neg->Set(-std::numeric_limits<double>::infinity());
+  nan->Set(std::numeric_limits<double>::quiet_NaN());
+  lat->Record(std::numeric_limits<double>::infinity());
+  MetricsSeries series;
+  series.Sample(600.0, registry);
+
+  const std::string json = ExportJsonReportString(registry, &series, nullptr);
+  JsonValue report;
+  std::string error;
+  ASSERT_TRUE(ParseJson(json, "report", &report, &error)) << error << "\n" << json;
+  const JsonValue* metrics = report.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  for (const char* name : {"demo_pos", "demo_neg", "demo_nan"}) {
+    ASSERT_NE(metrics->Find(name), nullptr) << name;
+    EXPECT_TRUE(metrics->Find(name)->Find("value")->is_null()) << name;
+  }
+  EXPECT_TRUE(metrics->Find("demo_lat")->Find("sum")->is_null());
+  const std::vector<JsonValue>& rows = report.Find("series")->Find("rows")->AsArray();
+  ASSERT_EQ(rows.size(), 1u);
+  const std::vector<JsonValue>& row = rows[0].AsArray();
+  ASSERT_EQ(row.size(), 6u);  // time_s, three gauges, _count, _sum
+  EXPECT_EQ(row[0].AsDouble(), 600.0);
+  EXPECT_TRUE(row[1].is_null());
+  EXPECT_TRUE(row[2].is_null());
+  EXPECT_TRUE(row[3].is_null());
+  EXPECT_EQ(row[4].AsDouble(), 1.0);
+  EXPECT_TRUE(row[5].is_null());
+
+  // Every sample line is "<name>[{labels}] <value>", and every value parses
+  // in the exposition format's number grammar.
+  const std::string prom = ExportPrometheusString(registry);
+  std::istringstream lines(prom);
+  std::string line;
+  std::map<std::string, std::string> samples;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    const size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string value = line.substr(space + 1);
+    if (value != "+Inf" && value != "-Inf" && value != "NaN") {
+      char* end = nullptr;
+      std::strtod(value.c_str(), &end);
+      EXPECT_TRUE(end != value.c_str() && *end == '\0') << line;
+      EXPECT_EQ(value.find_first_of("in"), std::string::npos) << line;
+    }
+    samples[line.substr(0, space)] = value;
+  }
+  EXPECT_EQ(samples["demo_pos"], "+Inf");
+  EXPECT_EQ(samples["demo_neg"], "-Inf");
+  EXPECT_EQ(samples["demo_nan"], "NaN");
+  EXPECT_EQ(samples["demo_lat_sum"], "+Inf");
+  EXPECT_EQ(samples["demo_lat_count"], "1");
+}
+
+// A reference rendering of the report's "series" section from recorded
+// values, built from scratch with printf (null for non-finite).
+std::string ReferenceSeriesSection(const std::vector<std::string>& columns,
+                                   const std::vector<std::vector<double>>& rows) {
+  const auto number = [](double v) {
+    if (!std::isfinite(v)) {
+      return std::string("null");
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::string out = "  \"series\": {";
+  if (!rows.empty()) {
+    out += "\n    \"columns\": [\"time_s\"";
+    for (const std::string& c : columns) {
+      out += ", \"" + c + "\"";
+    }
+    out += "],\n    \"rows\": [";
+    for (size_t r = 0; r < rows.size(); ++r) {
+      out += r == 0 ? "\n      [" : ",\n      [";
+      for (size_t c = 0; c < rows[r].size(); ++c) {
+        out += (c == 0 ? "" : ", ") + number(rows[r][c]);
+      }
+      out += "]";
+    }
+    out += "\n    ]\n  ";
+  }
+  return out + "},\n";
+}
+
+std::string SeriesSection(const std::string& report) {
+  const size_t begin = report.find("  \"series\": {");
+  const size_t end = report.find("  \"flight_recorder\": ");
+  EXPECT_NE(begin, std::string::npos);
+  EXPECT_NE(end, std::string::npos);
+  return report.substr(begin, end - begin);
+}
+
+// Rows are rendered once at sample time; exports taken between samples must
+// still equal a from-scratch rendering of every row so far.
+TEST(MetricsSeriesTest, InterleavedSamplesAndExportsMatchReferenceRendering) {
+  MetricsRegistry registry;
+  Counter* jobs = registry.AddCounter("demo_jobs_total", "Jobs.");
+  Gauge* temp = registry.AddGauge("demo_temp", "Gauge.");
+  Histogram* lat = registry.AddHistogram("demo_latency_seconds", "Latency.", {0.5, 2.0});
+  Gauge* wall = registry.AddGauge("demo_wall_seconds", "Wall.", /*profiling=*/true);
+  MetricsSeries series;
+  const std::vector<std::string> columns = {"demo_jobs_total", "demo_temp",
+                                            "demo_latency_seconds_count",
+                                            "demo_latency_seconds_sum"};
+  std::vector<std::vector<double>> rows;
+  EXPECT_EQ(SeriesSection(ExportJsonReportString(registry, &series, nullptr)),
+            ReferenceSeriesSection(columns, rows));
+
+  Rng rng(17);
+  for (int round = 0; round < 6; ++round) {
+    for (int k = 0; k <= round % 3; ++k) {
+      jobs->Add(1.0);
+      temp->Set(rng.Uniform(-1e6, 1e6) * (round == 4 ? 1e300 : 1.0));
+      if (round == 3) {
+        temp->Set(std::numeric_limits<double>::quiet_NaN());
+      }
+      lat->Record(rng.Uniform(0.0, 3.0));
+      wall->Set(rng.Uniform(0.0, 1.0));
+      const double t = 600.0 * static_cast<double>(rows.size() + 1) + rng.Uniform(0, 1);
+      series.Sample(t, registry);
+      rows.push_back({t, jobs->value(), temp->value(),
+                      static_cast<double>(lat->count()), lat->sum()});
+    }
+    const std::string report = ExportJsonReportString(registry, &series, nullptr);
+    EXPECT_EQ(SeriesSection(report), ReferenceSeriesSection(columns, rows))
+        << "after " << rows.size() << " rows";
+    ASSERT_EQ(series.num_rows(), rows.size());
+    JsonValue parsed;
+    std::string error;
+    EXPECT_TRUE(ParseJson(report, "report", &parsed, &error)) << error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: simulator exports are bitwise thread-count invariant
 // ---------------------------------------------------------------------------
@@ -468,11 +618,9 @@ std::unique_ptr<Simulator> MakeScenario(int threads, bool faulted, bool obs_on) 
 std::string ObservabilityFingerprint(Simulator* sim) {
   ExportOptions options;
   options.include_profiling = false;
-  std::ostringstream os;
-  os << ExportPrometheusString(sim->registry(), options);
-  sim->flight_recorder().WriteJson(os);
-  os << "\nrows=" << sim->series().num_rows() << "\n";
-  return os.str();
+  std::string out = ExportPrometheusString(sim->registry(), options);
+  sim->flight_recorder().AppendJson(0, &out);
+  return out + "\nrows=" + std::to_string(sim->series().num_rows()) + "\n";
 }
 
 TEST(SimObservabilityTest, ExportsAreBitwiseIdenticalAcrossThreadsAndFaults) {

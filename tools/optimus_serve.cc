@@ -173,9 +173,10 @@ int main(int argc, char** argv) {
     }
     ExportOptions options;  // profiling included: the latency histogram is the point
     if (metrics_format == "json") {
-      ExportJsonReport(session->service_registry(), nullptr, nullptr, os, options);
+      os << ExportJsonReportString(session->service_registry(), nullptr, nullptr,
+                                   options);
     } else {
-      ExportPrometheus(session->service_registry(), os, options);
+      os << ExportPrometheusString(session->service_registry(), options);
     }
     std::cerr << "wrote " << session->service_registry().size()
               << " service metric(s) (" << metrics_format << ") to "

@@ -236,9 +236,10 @@ int RunSingle(const SimulatorConfig& sim_config, std::vector<Server> servers,
     std::ofstream os(out.metrics_out);
     OPTIMUS_CHECK(os.good()) << "cannot write " << out.metrics_out;
     if (out.metrics_format == "json") {
-      ExportJsonReport(sim.registry(), &sim.series(), &sim.flight_recorder(), os);
+      os << ExportJsonReportString(sim.registry(), &sim.series(),
+                                   &sim.flight_recorder());
     } else {
-      ExportPrometheus(sim.registry(), os);
+      os << ExportPrometheusString(sim.registry());
     }
     std::cout << "wrote " << sim.registry().size() << " metrics ("
               << out.metrics_format << ") to " << out.metrics_out << "\n";
