@@ -7,6 +7,10 @@
 // The plan is scripted (not sampled), so every scheduler faces the identical
 // fault timeline and differences come from how each policy reallocates around
 // the holes. See docs/FAULTS.md for the plan grammar and fault semantics.
+//
+// Usage: bench_faults [--smoke] [--json=PATH]. --smoke runs one repeat per
+// scheduler instead of three and writes BENCH_faults_smoke.json; a full run
+// writes the committed BENCH_faults.json.
 
 #include <iostream>
 
@@ -15,8 +19,15 @@
 #include "src/common/logging.h"
 #include "src/sim/fault_injector.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace optimus;
+  FlagParser flags(argc, argv);
+  const bool smoke = flags.GetBool("smoke", false);
+  const std::string json_path = BenchJsonPath(flags, "faults", smoke);
+  for (const std::string& key : flags.UnconsumedKeys()) {
+    std::cerr << "unknown flag --" << key << "\n";
+    return 1;
+  }
   PrintExperimentHeader(
       "EXT: fault tolerance",
       "All four schedulers under a fixed crash/rack/slowdown plan",
@@ -69,7 +80,7 @@ int main() {
     config.sim.audit = true;
     config.workload.num_jobs = 9;
     config.workload.target_steps_per_epoch = 80;
-    config.repeats = 3;
+    config.repeats = smoke ? 1 : 3;
     config.label = row.name;
     ExperimentResult r = RunExperiment(config, [] { return BuildTestbed(); });
     if (base_jct == 0.0) {
@@ -98,7 +109,7 @@ int main() {
   section.Set("task_failure_prob", 0.02);
   section.Set("checkpoint_period_s", 3600.0);
   section.Set("rows", json_rows);
-  WriteBenchJsonSection("BENCH_faults.json", "faults", section);
+  WriteBenchJsonSection(json_path, "faults", section);
 
   if (total_violations > 0) {
     std::cerr << "invariant audit FAILED: " << total_violations

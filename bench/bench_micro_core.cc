@@ -1,11 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the scheduler's hot paths: NNLS
 // solving, convergence-curve fitting, speed-model fitting, a marginal-gain
 // allocation round, and a placement round.
+//
+// Usage: bench_micro_core [google-benchmark flags] [--json=PATH]. With
+// --json the allocation-round summary is merged into PATH as the micro_core
+// section (the committed one lives in BENCH_sched.json); without it nothing
+// is written.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/cluster/server.h"
@@ -251,12 +257,28 @@ void WriteMicroJson(const std::string& path) {
 }  // namespace optimus
 
 int main(int argc, char** argv) {
+  // --json=PATH (ours, not google-benchmark's) selects where the micro_core
+  // section goes; without it nothing is written. Strip it before
+  // benchmark::Initialize, which rejects flags it does not know.
+  std::string json_path;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) == 0) {
+      json_path = arg.substr(7);
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  optimus::WriteMicroJson("BENCH_sched.json");
+  if (!json_path.empty()) {
+    optimus::WriteMicroJson(json_path);
+  }
   return 0;
 }

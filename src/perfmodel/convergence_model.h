@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/perfmodel/fit_stats.h"
@@ -73,9 +74,9 @@ class ConvergenceModel {
   // Residual sum of squares of the last fit (normalized space).
   double residual() const { return residual_; }
 
-  // Fit accounting (solve attempts, dirty-flag cache hits, NNLS iterations);
-  // fed into the observability registry by the simulator.
-  const ModelFitStats& fit_stats() const { return fit_stats_; }
+  // Fit accounting (solve attempts, dirty-flag cache hits, NNLS iterations)
+  // since the previous call, which the simulator folds into its run totals.
+  ModelFitStats TakeFitStats() { return std::exchange(fit_stats_, {}); }
 
   // Predicted raw (denormalized) loss at a step.
   double PredictLoss(double step) const;

@@ -1,9 +1,10 @@
 // Per-model fit accounting shared by the convergence and speed models.
 //
 // Each model instance is job-owned, so the counters are incremented without
-// synchronization even when jobs fit in parallel; the simulator sums them
-// over jobs in job order when it samples the metrics registry, which keeps
-// the exported totals bitwise deterministic for any thread count.
+// synchronization even when jobs fit in parallel; the simulator takes each
+// job's new counts into its run totals serially after every phase that fits
+// (integer sums), which keeps the exported totals bitwise deterministic for
+// any thread count.
 
 #ifndef SRC_PERFMODEL_FIT_STATS_H_
 #define SRC_PERFMODEL_FIT_STATS_H_
@@ -21,6 +22,13 @@ struct ModelFitStats {
   // NNLS active-set iterations summed over every solve (all beta2 candidates
   // for the convergence model).
   int64_t nnls_iterations = 0;
+
+  ModelFitStats& operator+=(const ModelFitStats& other) {
+    fits += other.fits;
+    fit_cache_hits += other.fit_cache_hits;
+    nnls_iterations += other.nnls_iterations;
+    return *this;
+  }
 };
 
 }  // namespace optimus

@@ -20,6 +20,7 @@
 #ifndef SRC_PERFMODEL_SPEED_MODEL_H_
 #define SRC_PERFMODEL_SPEED_MODEL_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/models/model_zoo.h"
@@ -65,9 +66,9 @@ class SpeedModel {
   // Residual sum of squares in inverse-speed space at the last fit.
   double residual() const { return residual_; }
 
-  // Fit accounting (solve attempts, dirty-flag cache hits, NNLS iterations);
-  // fed into the observability registry by the simulator.
-  const ModelFitStats& fit_stats() const { return fit_stats_; }
+  // Fit accounting (solve attempts, dirty-flag cache hits, NNLS iterations)
+  // since the previous call, which the simulator folds into its run totals.
+  ModelFitStats TakeFitStats() { return std::exchange(fit_stats_, {}); }
 
   // Estimated job-level training speed (steps/s); requires fitted().
   double Estimate(int num_ps, int num_workers) const;

@@ -47,11 +47,12 @@ struct RunMetrics {
   // Invariant-auditor results (both 0 when auditing is disabled).
   int64_t audit_checks = 0;
   int64_t audit_violations = 0;
-  // Host wall-clock seconds per simulator phase over the whole run, mirrored
-  // from the simulator's PhaseProfiler (src/obs/phase_profiler.h). Profiling
-  // only: nondeterministic, so excluded from golden snapshots and determinism
-  // comparisons; the registry exports the same totals as profiling gauges
-  // named optimus_wall_<phase>_seconds.
+  // Host wall-clock seconds per simulator phase over the whole run, copied
+  // from the simulator's PhaseProfiler (src/obs/phase_profiler.h) whenever
+  // StepInterval, AdvanceTo or Run returns. Profiling only: nondeterministic,
+  // so excluded from golden snapshots and determinism comparisons; the
+  // registry exports the same totals as profiling gauges named
+  // optimus_wall_<phase>_seconds.
   double wall_faults_s = 0.0;
   double wall_schedule_s = 0.0;
   double wall_advance_s = 0.0;

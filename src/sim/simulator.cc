@@ -291,18 +291,6 @@ void Simulator::RetireJob(size_t idx) {
   r.completion_time_s = jr->job.completion_time_s();
   r.jct_s = jr->job.Jct();
   r.total_stall_s = jr->job.total_stall_s();
-  if (jr->conv != nullptr) {
-    const ModelFitStats& s = jr->conv->fit_stats();
-    retired_conv_stats_.fits += s.fits;
-    retired_conv_stats_.fit_cache_hits += s.fit_cache_hits;
-    retired_conv_stats_.nnls_iterations += s.nnls_iterations;
-  }
-  if (jr->speed != nullptr) {
-    const ModelFitStats& s = jr->speed->fit_stats();
-    retired_speed_stats_.fits += s.fits;
-    retired_speed_stats_.fit_cache_hits += s.fit_cache_hits;
-    retired_speed_stats_.nnls_iterations += s.nnls_iterations;
-  }
   ++retired_count_;
   auditor_.NoteRetired(jr->job.id());
   jobs_[idx].reset();
@@ -320,88 +308,126 @@ void Simulator::RetireCompleted() {
   }
 }
 
+void Simulator::FoldFitStats(JobRuntime* jr) {
+  if (jr->conv != nullptr) {
+    conv_fit_totals_ += jr->conv->TakeFitStats();
+  }
+  if (jr->speed != nullptr) {
+    speed_fit_totals_ += jr->speed->TakeFitStats();
+  }
+}
+
+void Simulator::SyncRunMetrics() {
+  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
+  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
+  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
+  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
+  metrics_.wall_events_s = profiler_.seconds(phase_events_);
+  metrics_.events_processed = event_counts_.total();
+  metrics_.straggler_replacements = straggler_.replacements();
+}
+
 void Simulator::SetupObservability() {
   // The auditor records its violations into the recorder (no-op at depth 0),
   // so the post-mortem dump interleaves them with the decisions around them.
   auditor_.set_flight_recorder(&flight_);
   if (config_.obs.enabled) {
-    auto c = [this](const char* name, const char* help) {
-      return registry_.AddCounter(name, help);
+    // Read-through metrics: each reads the field that owns its value at
+    // export or series-sample time, so no export can fall behind the run.
+    auto c = [this](const std::string& name, const std::string& help,
+                    MetricReader reader) {
+      registry_.AddCounter(name, help, /*profiling=*/false, std::move(reader));
     };
-    m_.intervals = c("optimus_intervals_total", "Scheduling intervals simulated.");
-    m_.jobs_submitted = c("optimus_jobs_submitted_total", "Jobs that have arrived.");
-    m_.jobs_completed =
-        c("optimus_jobs_completed_total", "Jobs converged and completed.");
-    m_.jobs_killed = c("optimus_jobs_killed_total",
-                       "Jobs cancelled by an online kill request.");
-    m_.scalings = c("optimus_scalings_total",
-                    "Checkpoint-restart resource adjustments applied.");
-    m_.straggler_replacements = c("optimus_straggler_replacements_total",
-                                  "Straggling workers detected and replaced.");
-    m_.checkpoints = c("optimus_checkpoints_total",
-                       "Periodic durable checkpoints taken (fault plan).");
-    m_.evictions = c("optimus_job_evictions_total",
-                     "Jobs evicted after losing tasks to a down server.");
-    m_.task_failures = c("optimus_task_failures_total",
-                         "Container deaths restored from checkpoint in place.");
-    m_.server_crashes = c("optimus_server_crashes_total", "Scripted server crashes.");
-    m_.server_recoveries =
-        c("optimus_server_recoveries_total", "Crashed servers brought back up.");
-    m_.backoff_deferrals = c("optimus_backoff_deferrals_total",
-                             "Relaunch-backoff deferrals after repeated evictions.");
-    m_.rolled_back_steps = c("optimus_rolled_back_steps_total",
-                             "Training steps lost to checkpoint rollbacks.");
-    m_.audit_checks = c("optimus_audit_checks_total", "Invariant-auditor passes.");
-    m_.audit_violations =
-        c("optimus_audit_violations_total", "Invariant violations reported.");
-    m_.speed_probes = c("optimus_speed_probes_total",
-                        "Speed-surface probes across scheduling rounds.");
-    m_.speed_evals = c("optimus_speed_evals_total",
-                       "Underlying speed-function evaluations (probes minus "
-                       "memo hits).");
-    m_.speed_surfaces = c("optimus_speed_surfaces_total",
-                          "Distinct speed surfaces built across rounds.");
-    m_.alloc_pops =
-        c("optimus_alloc_pops_total", "Greedy-heap candidates popped (Optimus).");
-    m_.alloc_grants =
-        c("optimus_alloc_grants_total", "Tasks granted by the greedy allocator.");
-    m_.alloc_stale_drops = c("optimus_alloc_stale_drops_total",
-                             "Heap candidates discarded as stale snapshots.");
-    m_.alloc_unfittable_drops =
-        c("optimus_alloc_unfittable_drops_total",
-          "Heap candidates dropped because their task kind no longer fits.");
-    m_.conv_fits =
-        c("optimus_conv_fits_total", "Convergence-model solve attempts.");
-    m_.conv_fit_cache_hits = c("optimus_conv_fit_cache_hits_total",
-                               "Convergence fits answered by the dirty-flag cache.");
-    m_.conv_nnls_iterations = c("optimus_conv_nnls_iterations_total",
-                                "NNLS iterations spent in convergence fits.");
-    m_.speedmodel_fits =
-        c("optimus_speedmodel_fits_total", "Speed-model solve attempts.");
-    m_.speedmodel_fit_cache_hits =
-        c("optimus_speedmodel_fit_cache_hits_total",
-          "Speed-model fits answered by the dirty-flag cache.");
-    m_.speedmodel_nnls_iterations = c("optimus_speedmodel_nnls_iterations_total",
-                                      "NNLS iterations spent in speed-model fits.");
-    m_.events_processed = c("optimus_events_processed_total",
-                            "Discrete events handled by the event kernel "
-                            "(stale-dropped entries excluded).");
+    auto g = [this](const std::string& name, const std::string& help,
+                    MetricReader reader) {
+      registry_.AddGauge(name, help, /*profiling=*/false, std::move(reader));
+    };
+    auto field = [](const auto& owner) -> MetricReader {
+      return [&owner] { return static_cast<double>(owner); };
+    };
+    m_intervals_ = registry_.AddCounter("optimus_intervals_total",
+                                        "Scheduling intervals simulated.");
+    c("optimus_jobs_submitted_total", "Jobs that have arrived.", field(arrived_jobs_));
+    c("optimus_jobs_completed_total", "Jobs converged and completed.",
+      field(metrics_.completed_jobs));
+    c("optimus_jobs_killed_total", "Jobs cancelled by an online kill request.",
+      field(metrics_.jobs_killed));
+    c("optimus_scalings_total", "Checkpoint-restart resource adjustments applied.",
+      field(metrics_.total_scalings));
+    c("optimus_straggler_replacements_total",
+      "Straggling workers detected and replaced.",
+      [this] { return static_cast<double>(straggler_.replacements()); });
+    c("optimus_checkpoints_total", "Periodic durable checkpoints taken (fault plan).",
+      field(metrics_.checkpoints_taken));
+    c("optimus_job_evictions_total",
+      "Jobs evicted after losing tasks to a down server.",
+      field(metrics_.job_evictions));
+    c("optimus_task_failures_total",
+      "Container deaths restored from checkpoint in place.",
+      field(metrics_.task_failures));
+    c("optimus_server_crashes_total", "Scripted server crashes.",
+      field(metrics_.server_crashes));
+    c("optimus_server_recoveries_total", "Crashed servers brought back up.",
+      field(metrics_.server_recoveries));
+    c("optimus_backoff_deferrals_total",
+      "Relaunch-backoff deferrals after repeated evictions.",
+      field(metrics_.backoff_deferrals));
+    c("optimus_rolled_back_steps_total", "Training steps lost to checkpoint rollbacks.",
+      field(metrics_.rolled_back_steps));
+    c("optimus_audit_checks_total", "Invariant-auditor passes.",
+      field(metrics_.audit_checks));
+    c("optimus_audit_violations_total", "Invariant violations reported.",
+      field(metrics_.audit_violations));
+    c("optimus_speed_probes_total", "Speed-surface probes across scheduling rounds.",
+      field(surface_probes_));
+    c("optimus_speed_evals_total",
+      "Underlying speed-function evaluations (probes minus memo hits).",
+      field(surface_evals_));
+    c("optimus_speed_surfaces_total", "Distinct speed surfaces built across rounds.",
+      field(surface_count_));
+    c("optimus_alloc_pops_total", "Greedy-heap candidates popped (Optimus).",
+      field(alloc_stats_.pops));
+    c("optimus_alloc_grants_total", "Tasks granted by the greedy allocator.",
+      field(alloc_stats_.grants));
+    c("optimus_alloc_stale_drops_total",
+      "Heap candidates discarded as stale snapshots.",
+      field(alloc_stats_.stale_drops));
+    c("optimus_alloc_unfittable_drops_total",
+      "Heap candidates dropped because their task kind no longer fits.",
+      field(alloc_stats_.unfittable_drops));
+    c("optimus_conv_fits_total", "Convergence-model solve attempts.",
+      field(conv_fit_totals_.fits));
+    c("optimus_conv_fit_cache_hits_total",
+      "Convergence fits answered by the dirty-flag cache.",
+      field(conv_fit_totals_.fit_cache_hits));
+    c("optimus_conv_nnls_iterations_total",
+      "NNLS iterations spent in convergence fits.",
+      field(conv_fit_totals_.nnls_iterations));
+    c("optimus_speedmodel_fits_total", "Speed-model solve attempts.",
+      field(speed_fit_totals_.fits));
+    c("optimus_speedmodel_fit_cache_hits_total",
+      "Speed-model fits answered by the dirty-flag cache.",
+      field(speed_fit_totals_.fit_cache_hits));
+    c("optimus_speedmodel_nnls_iterations_total",
+      "NNLS iterations spent in speed-model fits.",
+      field(speed_fit_totals_.nnls_iterations));
+    c("optimus_events_processed_total",
+      "Discrete events handled by the event kernel "
+      "(stale-dropped entries excluded).",
+      [this] { return static_cast<double>(event_counts_.total()); });
     for (int k = 0; k < kNumSimEventKinds; ++k) {
-      const std::string name = std::string("optimus_events_") +
-                               SimEventKindName(static_cast<SimEventKind>(k)) +
-                               "_total";
-      const std::string help = std::string("Event-kernel events of kind ") +
-                               SimEventKindName(static_cast<SimEventKind>(k)) +
-                               " handled.";
-      m_.events_by_kind[k] = registry_.AddCounter(name, help);
+      const std::string kind = SimEventKindName(static_cast<SimEventKind>(k));
+      c("optimus_events_" + kind + "_total",
+        "Event-kernel events of kind " + kind + " handled.",
+        field(event_counts_.counts[static_cast<size_t>(k)]));
     }
-    m_.sim_time = registry_.AddGauge("optimus_sim_time_seconds", "Simulated time.");
-    m_.running_tasks = registry_.AddGauge(
+    g("optimus_sim_time_seconds", "Simulated time.", field(now_s_));
+    m_running_tasks_ = registry_.AddGauge(
         "optimus_running_tasks", "Tasks (workers + PS) running last interval.");
-    m_.jct_seconds = registry_.AddHistogram(
+    m_jct_seconds_ = registry_.AddHistogram(
         "optimus_jct_seconds", "Job completion times (arrival to convergence).",
         {1800.0, 3600.0, 7200.0, 14400.0, 28800.0, 57600.0, 115200.0, 230400.0});
-    m_.completed_epochs = registry_.AddHistogram(
+    m_completed_epochs_ = registry_.AddHistogram(
         "optimus_completed_epochs", "Epochs at convergence for completed jobs.",
         {5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0});
     // Network-fabric metrics register only when a non-flat model is live:
@@ -410,19 +436,20 @@ void Simulator::SetupObservability() {
     // (placement-driven serial solves), so within a fabric config the
     // catalog remains a stable prefix across threads/engines.
     if (net_ != nullptr) {
-      m_.net_solves = c("optimus_net_solves_total",
-                        "Network fair-share solves (one per round).");
-      m_.net_flows = c("optimus_net_flows_total",
-                       "Flows registered with the network model, cumulative.");
-      m_.net_contended_flows =
-          c("optimus_net_contended_flows_total",
-            "Flows held below their isolated rate by link sharing.");
-      m_.net_max_link_util = registry_.AddGauge(
-          "optimus_net_max_link_utilization",
-          "Most utilized fabric link after the last solve (0-1).");
-      m_.net_mean_link_util = registry_.AddGauge(
-          "optimus_net_mean_link_utilization",
-          "Mean utilization over all fabric links after the last solve (0-1).");
+      const NetworkStats& ns = net_->stats();
+      c("optimus_net_solves_total", "Network fair-share solves (one per round).",
+        field(ns.solves));
+      c("optimus_net_flows_total",
+        "Flows registered with the network model, cumulative.", field(ns.flows));
+      c("optimus_net_contended_flows_total",
+        "Flows held below their isolated rate by link sharing.",
+        field(ns.contended_flows));
+      g("optimus_net_max_link_utilization",
+        "Most utilized fabric link after the last solve (0-1).",
+        field(ns.max_link_utilization));
+      g("optimus_net_mean_link_utilization",
+        "Mean utilization over all fabric links after the last solve (0-1).",
+        field(ns.mean_link_utilization));
     }
     // Profiling gauges (optimus_wall_*_seconds) register last so the
     // deterministic catalog is a stable prefix of the export.
@@ -439,76 +466,7 @@ void Simulator::SampleObservability() {
   if (!config_.obs.enabled) {
     return;
   }
-  m_.intervals->Add(1.0);
-
-  // Cumulative per-job model-fit totals, summed in job order (integer sums,
-  // so the order matters only for consistency, not correctness).
-  // Retired runtimes (streaming) contribute through the folded aggregates;
-  // integer sums, so the totals match the batch walk bitwise.
-  int submitted = retired_count_;
-  ModelFitStats conv = retired_conv_stats_;
-  ModelFitStats speedm = retired_speed_stats_;
-  for (const auto& jr : jobs_) {
-    if (jr == nullptr || !jr->arrived) {
-      continue;
-    }
-    ++submitted;
-    if (jr->conv != nullptr) {
-      const ModelFitStats& s = jr->conv->fit_stats();
-      conv.fits += s.fits;
-      conv.fit_cache_hits += s.fit_cache_hits;
-      conv.nnls_iterations += s.nnls_iterations;
-    }
-    if (jr->speed != nullptr) {
-      const ModelFitStats& s = jr->speed->fit_stats();
-      speedm.fits += s.fits;
-      speedm.fit_cache_hits += s.fit_cache_hits;
-      speedm.nnls_iterations += s.nnls_iterations;
-    }
-  }
-
-  m_.jobs_submitted->Set(static_cast<double>(submitted));
-  m_.jobs_completed->Set(static_cast<double>(metrics_.completed_jobs));
-  m_.jobs_killed->Set(static_cast<double>(metrics_.jobs_killed));
-  m_.scalings->Set(static_cast<double>(metrics_.total_scalings));
-  m_.straggler_replacements->Set(static_cast<double>(straggler_.replacements()));
-  m_.checkpoints->Set(static_cast<double>(metrics_.checkpoints_taken));
-  m_.evictions->Set(static_cast<double>(metrics_.job_evictions));
-  m_.task_failures->Set(static_cast<double>(metrics_.task_failures));
-  m_.server_crashes->Set(static_cast<double>(metrics_.server_crashes));
-  m_.server_recoveries->Set(static_cast<double>(metrics_.server_recoveries));
-  m_.backoff_deferrals->Set(static_cast<double>(metrics_.backoff_deferrals));
-  m_.rolled_back_steps->Set(metrics_.rolled_back_steps);
-  m_.audit_checks->Set(static_cast<double>(metrics_.audit_checks));
-  m_.audit_violations->Set(static_cast<double>(metrics_.audit_violations));
-  m_.speed_probes->Set(static_cast<double>(surface_probes_));
-  m_.speed_evals->Set(static_cast<double>(surface_evals_));
-  m_.speed_surfaces->Set(static_cast<double>(surface_count_));
-  m_.alloc_pops->Set(static_cast<double>(alloc_stats_.pops));
-  m_.alloc_grants->Set(static_cast<double>(alloc_stats_.grants));
-  m_.alloc_stale_drops->Set(static_cast<double>(alloc_stats_.stale_drops));
-  m_.alloc_unfittable_drops->Set(static_cast<double>(alloc_stats_.unfittable_drops));
-  m_.conv_fits->Set(static_cast<double>(conv.fits));
-  m_.conv_fit_cache_hits->Set(static_cast<double>(conv.fit_cache_hits));
-  m_.conv_nnls_iterations->Set(static_cast<double>(conv.nnls_iterations));
-  m_.speedmodel_fits->Set(static_cast<double>(speedm.fits));
-  m_.speedmodel_fit_cache_hits->Set(static_cast<double>(speedm.fit_cache_hits));
-  m_.speedmodel_nnls_iterations->Set(static_cast<double>(speedm.nnls_iterations));
-  m_.events_processed->Set(static_cast<double>(event_counts_.total()));
-  for (int k = 0; k < kNumSimEventKinds; ++k) {
-    m_.events_by_kind[k]->Set(
-        static_cast<double>(event_counts_.counts[static_cast<size_t>(k)]));
-  }
-  if (net_ != nullptr && m_.net_solves != nullptr) {
-    const NetworkStats& ns = net_->stats();
-    m_.net_solves->Set(static_cast<double>(ns.solves));
-    m_.net_flows->Set(static_cast<double>(ns.flows));
-    m_.net_contended_flows->Set(static_cast<double>(ns.contended_flows));
-    m_.net_max_link_util->Set(ns.max_link_utilization);
-    m_.net_mean_link_util->Set(ns.mean_link_utilization);
-  }
-  m_.sim_time->Set(now_s_);
-
+  m_intervals_->Add();
   if (config_.obs.per_interval_series) {
     series_.Sample(now_s_, registry_);
   }
@@ -587,6 +545,7 @@ void Simulator::ActivateArrivals() {
     }
     if (!jr->arrived && jr->job.spec().arrival_time_s <= now_s_) {
       jr->arrived = true;
+      ++arrived_jobs_;
       arriving.push_back(jr.get());
     }
   }
@@ -599,6 +558,7 @@ void Simulator::ActivateArrivals() {
     }
   }
   for (JobRuntime* jr : arriving) {
+    FoldFitStats(jr);  // the pre-run samples' fits
     trace_.Record(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0,
                   jr->job.spec().model->name);
   }
@@ -1522,6 +1482,7 @@ void Simulator::AdvanceInterval() {
   for (size_t i = 0; i < running.size(); ++i) {
     const AdvanceOutcome& out = outcomes[i];
     JobRuntime* jr = running[i];
+    FoldFitStats(jr);
     if (out.completed) {
       ++completed_;
       ++metrics_.completed_jobs;
@@ -1561,9 +1522,9 @@ void Simulator::AdvanceInterval() {
     flight_.Record(done_s, FlightEventKind::kCompleted, jr->job.id(),
                    out.event_ps, out.event_workers,
                    static_cast<double>(out.completed_epoch));
-    if (m_.jct_seconds != nullptr) {
-      m_.jct_seconds->Record(jr->job.Jct());
-      m_.completed_epochs->Record(static_cast<double>(out.completed_epoch));
+    if (m_jct_seconds_ != nullptr) {
+      m_jct_seconds_->Record(jr->job.Jct());
+      m_completed_epochs_->Record(static_cast<double>(out.completed_epoch));
     }
   }
   for (size_t i = 0; i < running.size(); ++i) {
@@ -1579,8 +1540,8 @@ void Simulator::AdvanceInterval() {
                                  worker_util.count() > 0 ? worker_util.mean() : 0.0,
                                  ps_util.count() > 0 ? ps_util.mean() : 0.0});
   }
-  if (m_.running_tasks != nullptr) {
-    m_.running_tasks->Set(static_cast<double>(running_tasks));
+  if (m_running_tasks_ != nullptr) {
+    m_running_tasks_->Set(static_cast<double>(running_tasks));
   }
 }
 
@@ -1628,8 +1589,7 @@ bool Simulator::StepInterval() {
 
   // Per-phase wall-clock accounting via the profiler (profiling only; never
   // feeds back into simulated time or decisions, so determinism is
-  // unaffected). The RunMetrics wall_* fields mirror the accumulated phase
-  // totals so interval-stepping callers keep seeing cumulative values.
+  // unaffected).
   {
     ScopedTimer timer(&profiler_, phase_faults_);
     ApplyFaults();
@@ -1649,13 +1609,10 @@ bool Simulator::StepInterval() {
     ScopedTimer timer(&profiler_, phase_audit_);
     RunAudit();
   }
-  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
-  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
-  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
-  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
   now_s_ += config_.interval_s;
   SampleObservability();
   RetireCompleted();
+  SyncRunMetrics();
   return (completed_ < static_cast<int>(jobs_.size()) ||
           pending_remaining() > 0) &&
          now_s_ < config_.max_sim_time_s;
@@ -1723,7 +1680,7 @@ RunMetrics Simulator::Run() {
                             : last_completion - first_arrival;
   metrics_.scaling_overhead_fraction =
       overhead_count > 0 ? overhead_sum / overhead_count : 0.0;
-  metrics_.straggler_replacements = straggler_.replacements();
+  SyncRunMetrics();
 
   if (config_.audit && !auditor_.ok()) {
     if (config_.audit_fatal) {
@@ -1737,13 +1694,11 @@ RunMetrics Simulator::Run() {
 void Simulator::AdvanceTo(double t) {
   if (config_.engine == SimEngine::kEvents) {
     StepEventsUntil(t);
-    return;
-  }
-  while (now_s_ < t) {
-    if (!StepInterval()) {
-      break;
+  } else {
+    while (now_s_ < t && StepInterval()) {
     }
   }
+  SyncRunMetrics();
 }
 
 bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
@@ -1838,7 +1793,10 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   // Kills count as completions in the accounting invariants (the auditor
   // checks completed states against the completion metric). A job killed
   // before its arrival is marked arrived so it never activates later.
-  jr->arrived = true;
+  if (!jr->arrived) {
+    jr->arrived = true;
+    ++arrived_jobs_;
+  }
   jr->killed = true;
   ++metrics_.completed_jobs;
   job.MarkCompleted(now_s_);

@@ -484,12 +484,18 @@ class Simulator {
   double BackgroundShare(double t) const;
   void RecomputeLoad(JobRuntime* jr);
   void InitSpeedModel(JobRuntime* jr);
+  // Moves what jr's models fitted since the last fold into the fit totals.
+  // Serial; runs after every phase that fits.
+  void FoldFitStats(JobRuntime* jr);
+  // Copies the RunMetrics fields owned elsewhere (profiler phase seconds,
+  // event count, straggler replacements) from their owners. Runs on every
+  // exit path (StepInterval, Run, AdvanceTo), so metrics() read between
+  // calls agrees with the registry export.
+  void SyncRunMetrics();
   // Registers the metric catalog and profiler phases (constructor tail).
   void SetupObservability();
-  // End-of-interval registry refresh: mirrors the cumulative totals (the
-  // RunMetrics fields, the per-job model-fit stats walked in job order, the
-  // speed-surface and allocator counters) into the named metrics, and samples
-  // the per-interval series. Serial; runs after the interval's phases.
+  // End-of-interval tick: counts the interval and samples the per-interval
+  // series. Serial; runs after the interval's phases.
   void SampleObservability();
 
   SimulatorConfig config_;
@@ -525,11 +531,12 @@ class Simulator {
   };
   std::vector<RetiredJob> retired_;
   int retired_count_ = 0;
-  // Fit-stat totals of retired runtimes, folded into SampleObservability's
-  // live-job walk so the exported counters match the batch run (integer
-  // sums, so folding an aggregate preserves the totals bitwise).
-  ModelFitStats retired_conv_stats_;
-  ModelFitStats retired_speed_stats_;
+  // Model-fit totals over every job, folded in serially after each phase
+  // that fits (FoldFitStats): integer sums, so any thread count and any
+  // retirement schedule give the same totals bitwise.
+  ModelFitStats conv_fit_totals_;
+  ModelFitStats speed_fit_totals_;
+  int arrived_jobs_ = 0;  // jobs that have arrived (or were killed unarrived)
   std::unique_ptr<ThreadPool> pool_;  // per-job parallelism (see threads)
   // Greedy-round counters the Optimus allocator accumulates across rounds;
   // declared before allocator_, which captures a pointer to it.
@@ -576,50 +583,12 @@ class Simulator {
   int64_t surface_count_ = 0;
   bool flight_dumped_ = false;  // post-mortem dump emitted once per run
 
-  // Handles into registry_ (null when observability is off).
-  struct ObsHandles {
-    Counter* intervals = nullptr;
-    Counter* jobs_submitted = nullptr;
-    Counter* jobs_completed = nullptr;
-    Counter* jobs_killed = nullptr;
-    Counter* scalings = nullptr;
-    Counter* straggler_replacements = nullptr;
-    Counter* checkpoints = nullptr;
-    Counter* evictions = nullptr;
-    Counter* task_failures = nullptr;
-    Counter* server_crashes = nullptr;
-    Counter* server_recoveries = nullptr;
-    Counter* backoff_deferrals = nullptr;
-    Counter* rolled_back_steps = nullptr;
-    Counter* audit_checks = nullptr;
-    Counter* audit_violations = nullptr;
-    Counter* speed_probes = nullptr;
-    Counter* speed_evals = nullptr;
-    Counter* speed_surfaces = nullptr;
-    Counter* alloc_pops = nullptr;
-    Counter* alloc_grants = nullptr;
-    Counter* alloc_stale_drops = nullptr;
-    Counter* alloc_unfittable_drops = nullptr;
-    Counter* conv_fits = nullptr;
-    Counter* conv_fit_cache_hits = nullptr;
-    Counter* conv_nnls_iterations = nullptr;
-    Counter* speedmodel_fits = nullptr;
-    Counter* speedmodel_fit_cache_hits = nullptr;
-    Counter* speedmodel_nnls_iterations = nullptr;
-    Counter* events_processed = nullptr;
-    Counter* events_by_kind[kNumSimEventKinds] = {};
-    // Network fabric (src/net): all zero under the flat model.
-    Counter* net_solves = nullptr;
-    Counter* net_flows = nullptr;
-    Counter* net_contended_flows = nullptr;
-    Gauge* net_max_link_util = nullptr;
-    Gauge* net_mean_link_util = nullptr;
-    Gauge* sim_time = nullptr;
-    Gauge* running_tasks = nullptr;
-    Histogram* jct_seconds = nullptr;
-    Histogram* completed_epochs = nullptr;
-  };
-  ObsHandles m_;
+  // The registry's pushed metrics (null when observability is off); every
+  // other metric reads through to the field that owns it.
+  Counter* m_intervals_ = nullptr;
+  Gauge* m_running_tasks_ = nullptr;
+  Histogram* m_jct_seconds_ = nullptr;
+  Histogram* m_completed_epochs_ = nullptr;
 };
 
 }  // namespace optimus

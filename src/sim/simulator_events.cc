@@ -212,9 +212,9 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
         flight_.Record(t, FlightEventKind::kCompleted, jr->job.id(), out.event_ps,
                        out.event_workers,
                        static_cast<double>(out.completed_epoch));
-        if (m_.jct_seconds != nullptr) {
-          m_.jct_seconds->Record(jr->job.Jct());
-          m_.completed_epochs->Record(static_cast<double>(out.completed_epoch));
+        if (m_jct_seconds_ != nullptr) {
+          m_jct_seconds_->Record(jr->job.Jct());
+          m_completed_epochs_->Record(static_cast<double>(out.completed_epoch));
         }
       }
       if (out.lr_drop) {
@@ -354,6 +354,9 @@ void Simulator::RefreshModels() {
       refresh(jr);
     }
   }
+  for (JobRuntime* jr : dirty) {
+    FoldFitStats(jr);
+  }
 }
 
 void Simulator::RebuildSegments() {
@@ -460,8 +463,8 @@ void Simulator::RebuildSegments() {
                                  worker_util.count() > 0 ? worker_util.mean() : 0.0,
                                  ps_util.count() > 0 ? ps_util.mean() : 0.0});
   }
-  if (m_.running_tasks != nullptr) {
-    m_.running_tasks->Set(static_cast<double>(running_tasks));
+  if (m_running_tasks_ != nullptr) {
+    m_running_tasks_->Set(static_cast<double>(running_tasks));
   }
 }
 
@@ -545,12 +548,6 @@ void Simulator::HandleRoundEvent(double t) {
     RunAudit();
   }
 
-  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
-  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
-  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
-  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
-  metrics_.wall_events_s = profiler_.seconds(phase_events_);
-  metrics_.events_processed = event_counts_.total();
   SampleObservability();
 
   events_.Push({t + config_.interval_s, SimEventKind::kRound, -1, 0});
@@ -604,13 +601,6 @@ void Simulator::StepEventsUntil(double horizon) {
         break;
     }
   }
-
-  metrics_.events_processed = event_counts_.total();
-  metrics_.wall_faults_s = profiler_.seconds(phase_faults_);
-  metrics_.wall_schedule_s = profiler_.seconds(phase_schedule_);
-  metrics_.wall_advance_s = profiler_.seconds(phase_advance_);
-  metrics_.wall_audit_s = profiler_.seconds(phase_audit_);
-  metrics_.wall_events_s = profiler_.seconds(phase_events_);
 }
 
 }  // namespace optimus

@@ -1,9 +1,10 @@
-// Observability subsystem tests: registry semantics, shard-merge determinism
-// across thread counts, histogram bucket edges, flight-recorder wraparound and
+// Observability subsystem tests: registry semantics (read-through metrics
+// included), histogram bucket edges, flight-recorder wraparound and
 // dump-on-violation, exporter golden files, and the end-to-end acceptance
-// criterion — the exported registry contents and flight-recorder sequence of
+// criteria — the exported registry contents and flight-recorder sequence of
 // a simulator run are bitwise identical for --threads {1, 2, 8}, with and
-// without a fault plan.
+// without a fault plan, on both engines, and every exported total equals the
+// run's own at run end and between rounds.
 //
 // Regenerating the exporter goldens after an INTENDED format change:
 //
@@ -27,7 +28,6 @@
 #include "src/cluster/server.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/common/threadpool.h"
 #include "src/obs/exporters.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics_registry.h"
@@ -67,10 +67,27 @@ TEST(MetricsRegistryTest, RegistersAndFindsMetrics) {
   c->Add();
   c->Add(2.5);
   EXPECT_DOUBLE_EQ(c->value(), 3.5);
-  c->Set(10.0);
-  EXPECT_DOUBLE_EQ(c->value(), 10.0);
   g->Set(-4.0);
   EXPECT_DOUBLE_EQ(g->value(), -4.0);
+}
+
+TEST(MetricsRegistryTest, ReadThroughMetricsAreCurrentAtEveryRead) {
+  MetricsRegistry registry;
+  int64_t owned_total = 3;
+  double owned_level = 0.5;
+  Counter* c = registry.AddCounter("owned_total", "Owned elsewhere.", false,
+                                   [&owned_total] { return owned_total * 1.0; });
+  Gauge* g = registry.AddGauge("owned_level", "Owned elsewhere.", true,
+                               [&owned_level] { return owned_level; });
+  EXPECT_DOUBLE_EQ(c->value(), 3.0);
+  EXPECT_DOUBLE_EQ(g->value(), 0.5);
+  EXPECT_TRUE(g->profiling());
+  owned_total = 7;
+  owned_level = -2.0;
+  EXPECT_DOUBLE_EQ(c->value(), 7.0);
+  EXPECT_DOUBLE_EQ(g->value(), -2.0);
+  EXPECT_NE(ExportPrometheusString(registry).find("owned_total 7\n"),
+            std::string::npos);
 }
 
 TEST(MetricsRegistryTest, ProfilingFlagIsPerMetric) {
@@ -133,101 +150,6 @@ TEST(HistogramQuantileTest, MatchesHandComputedValues) {
   EXPECT_DOUBLE_EQ(HistogramQuantile(bounds, counts, 0.6), 1.5);
   EXPECT_DOUBLE_EQ(HistogramQuantile(bounds, counts, 0.95), 2.0);
   EXPECT_DOUBLE_EQ(HistogramQuantile({}, {0}, 0.5), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Shard merges: determinism across thread counts, associativity
-// ---------------------------------------------------------------------------
-
-struct ShardFixture {
-  MetricsRegistry registry;
-  Counter* work = nullptr;
-  Counter* frac = nullptr;
-  Gauge* last = nullptr;
-  Histogram* h = nullptr;
-
-  ShardFixture() {
-    work = registry.AddCounter("work_total", "Items processed.");
-    frac = registry.AddCounter("frac_total", "Fractional sums.");
-    last = registry.AddGauge("last_item", "Last item value.");
-    h = registry.AddHistogram("item_hist", "Item values.", {8.0, 64.0, 512.0});
-  }
-
-  // What work item i records (deliberately non-associative double values).
-  void RecordItem(MetricsShard* shard, int64_t i) const {
-    shard->Add(work);
-    shard->Add(frac, 0.1 * static_cast<double>(i + 1) / 3.0);
-    shard->Set(last, static_cast<double>(i));
-    shard->Record(h, static_cast<double>(i * i) / 7.0);
-  }
-};
-
-std::string ExportAfterShardedRun(int threads, int64_t items) {
-  ShardFixture f;
-  std::vector<MetricsShard> shards;
-  shards.reserve(static_cast<size_t>(items));
-  for (int64_t i = 0; i < items; ++i) {
-    shards.emplace_back(f.registry);
-  }
-  ThreadPool pool(threads);
-  pool.ParallelFor(items,
-                   [&](int64_t i) { f.RecordItem(&shards[static_cast<size_t>(i)], i); });
-  // Serial merge in index order — the determinism contract.
-  for (const MetricsShard& s : shards) {
-    f.registry.Merge(s);
-  }
-  return ExportPrometheusString(f.registry);
-}
-
-TEST(MetricsShardTest, MergeInIndexOrderIsThreadCountInvariant) {
-  const std::string serial = ExportAfterShardedRun(1, 97);
-  EXPECT_EQ(ExportAfterShardedRun(2, 97), serial);
-  EXPECT_EQ(ExportAfterShardedRun(8, 97), serial);
-}
-
-TEST(MetricsShardTest, ShardedRunMatchesDirectSerialRecording) {
-  // Direct serial recording into the registry.
-  ShardFixture direct;
-  for (int64_t i = 0; i < 41; ++i) {
-    direct.work->Add();
-    direct.frac->Add(0.1 * static_cast<double>(i + 1) / 3.0);
-    direct.last->Set(static_cast<double>(i));
-    direct.h->Record(static_cast<double>(i * i) / 7.0);
-  }
-  EXPECT_EQ(ExportAfterShardedRun(4, 41), ExportPrometheusString(direct.registry));
-}
-
-TEST(MetricsShardTest, IntegerMergesAreAssociative) {
-  // Integer counter adds and histogram bucket counts are exactly associative:
-  // a pairwise merge tree gives the same result as the flat index-order merge.
-  ShardFixture flat;
-  ShardFixture tree;
-  constexpr int64_t kItems = 16;
-  std::vector<MetricsShard> flat_shards;
-  std::vector<MetricsShard> tree_shards;
-  for (int64_t i = 0; i < kItems; ++i) {
-    flat_shards.emplace_back(flat.registry);
-    tree_shards.emplace_back(tree.registry);
-  }
-  for (int64_t i = 0; i < kItems; ++i) {
-    // Integer-valued doubles only, so even the double sums are exact.
-    flat_shards[static_cast<size_t>(i)].Add(flat.work, static_cast<double>(i));
-    flat_shards[static_cast<size_t>(i)].Record(flat.h, static_cast<double>(i));
-    tree_shards[static_cast<size_t>(i)].Add(tree.work, static_cast<double>(i));
-    tree_shards[static_cast<size_t>(i)].Record(tree.h, static_cast<double>(i));
-  }
-  for (const MetricsShard& s : flat_shards) {
-    flat.registry.Merge(s);
-  }
-  // Pairwise tree: fold shard 2k+1 into 2k, then merge survivors in order.
-  for (size_t k = 0; k + 1 < tree_shards.size(); k += 2) {
-    tree_shards[k].MergeFrom(tree_shards[k + 1]);
-  }
-  for (size_t k = 0; k < tree_shards.size(); k += 2) {
-    tree.registry.Merge(tree_shards[k]);
-  }
-  EXPECT_EQ(ExportPrometheusString(tree.registry),
-            ExportPrometheusString(flat.registry));
 }
 
 // ---------------------------------------------------------------------------
@@ -585,12 +507,15 @@ TEST(MetricsSeriesTest, InterleavedSamplesAndExportsMatchReferenceRendering) {
 // End-to-end: simulator exports are bitwise thread-count invariant
 // ---------------------------------------------------------------------------
 
-// The golden-trace pinned scenario, parameterized over threads / faults / obs.
-std::unique_ptr<Simulator> MakeScenario(int threads, bool faulted, bool obs_on) {
+// The golden-trace pinned scenario, parameterized over threads / faults / obs
+// and engine.
+std::unique_ptr<Simulator> MakeScenario(int threads, bool faulted, bool obs_on,
+                                        SimEngine engine = SimEngine::kInterval) {
   SimulatorConfig config;
   config.seed = 7;
   config.max_sim_time_s = 2e5;
   config.threads = threads;
+  config.engine = engine;
   config.obs.enabled = obs_on;
   config.obs.per_interval_series = obs_on;
   if (faulted) {
@@ -612,6 +537,10 @@ std::unique_ptr<Simulator> MakeScenario(int threads, bool faulted, bool obs_on) 
                                      GenerateWorkload(workload, &rng));
 }
 
+const char* EngineName(SimEngine engine) {
+  return engine == SimEngine::kEvents ? "events" : "interval";
+}
+
 // Deterministic fingerprint of a finished run's observability output: the
 // profiling-free registry export, the full flight-recorder JSON (sequence
 // numbers included), and the series row count.
@@ -624,17 +553,19 @@ std::string ObservabilityFingerprint(Simulator* sim) {
 }
 
 TEST(SimObservabilityTest, ExportsAreBitwiseIdenticalAcrossThreadsAndFaults) {
-  for (const bool faulted : {false, true}) {
-    std::unique_ptr<Simulator> base = MakeScenario(1, faulted, true);
-    base->Run();
-    const std::string want = ObservabilityFingerprint(base.get());
-    EXPECT_NE(want.find("optimus_jobs_completed_total"), std::string::npos);
-    for (const int threads : {2, 8}) {
-      std::unique_ptr<Simulator> sim = MakeScenario(threads, faulted, true);
-      sim->Run();
-      EXPECT_EQ(ObservabilityFingerprint(sim.get()), want)
-          << "observability diverged at threads=" << threads
-          << " faulted=" << faulted;
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    for (const bool faulted : {false, true}) {
+      std::unique_ptr<Simulator> base = MakeScenario(1, faulted, true, engine);
+      base->Run();
+      const std::string want = ObservabilityFingerprint(base.get());
+      EXPECT_NE(want.find("optimus_jobs_completed_total"), std::string::npos);
+      for (const int threads : {2, 8}) {
+        std::unique_ptr<Simulator> sim = MakeScenario(threads, faulted, true, engine);
+        sim->Run();
+        EXPECT_EQ(ObservabilityFingerprint(sim.get()), want)
+            << "observability diverged at threads=" << threads
+            << " faulted=" << faulted << " engine=" << EngineName(engine);
+      }
     }
   }
 }
@@ -657,64 +588,128 @@ TEST(SimObservabilityTest, DisablingObservabilityLeavesSimulationUnchanged) {
   EXPECT_EQ(off->series().num_rows(), 0u);
 }
 
-TEST(SimObservabilityTest, RegistryMirrorsRunMetricsAndWallPhases) {
-  std::unique_ptr<Simulator> sim = MakeScenario(1, true, true);
-  const RunMetrics metrics = sim->Run();
-  const MetricsRegistry& reg = sim->registry();
+// A counter's or gauge's exported value; NaN (and a failure) when missing.
+double RegistryScalar(const MetricsRegistry& reg, const std::string& name) {
+  const Metric* m = reg.Find(name);
+  EXPECT_NE(m, nullptr) << name;
+  if (m == nullptr) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return m->kind() == MetricKind::kCounter ? static_cast<const Counter*>(m)->value()
+                                           : static_cast<const Gauge*>(m)->value();
+}
 
-  auto counter = [&reg](const char* name) {
-    const Metric* m = reg.Find(name);
-    EXPECT_NE(m, nullptr) << name;
-    return static_cast<const Counter*>(m)->value();
+// Every total the registry exports and the run also keeps is bitwise equal
+// to the run's own: the RunMetrics counts, the arrivals the trace recorded,
+// the simulated clock, and each profiler phase.
+void ExpectRegistryMatchesRun(const Simulator& sim, const RunMetrics& m,
+                              const std::string& where) {
+  int64_t arrivals = 0;
+  for (const SimEvent& e : sim.trace().events()) {
+    arrivals += e.type == SimEventType::kArrival ? 1 : 0;
+  }
+  const std::pair<const char*, double> pairs[] = {
+      {"optimus_jobs_submitted_total", static_cast<double>(arrivals)},
+      {"optimus_jobs_completed_total", m.completed_jobs},
+      {"optimus_jobs_killed_total", static_cast<double>(m.jobs_killed)},
+      {"optimus_scalings_total", static_cast<double>(m.total_scalings)},
+      {"optimus_straggler_replacements_total",
+       static_cast<double>(m.straggler_replacements)},
+      {"optimus_checkpoints_total", static_cast<double>(m.checkpoints_taken)},
+      {"optimus_job_evictions_total", static_cast<double>(m.job_evictions)},
+      {"optimus_task_failures_total", static_cast<double>(m.task_failures)},
+      {"optimus_server_crashes_total", static_cast<double>(m.server_crashes)},
+      {"optimus_server_recoveries_total", static_cast<double>(m.server_recoveries)},
+      {"optimus_backoff_deferrals_total", static_cast<double>(m.backoff_deferrals)},
+      {"optimus_rolled_back_steps_total", m.rolled_back_steps},
+      {"optimus_audit_checks_total", static_cast<double>(m.audit_checks)},
+      {"optimus_audit_violations_total", static_cast<double>(m.audit_violations)},
+      {"optimus_events_processed_total", static_cast<double>(m.events_processed)},
+      {"optimus_sim_time_seconds", sim.now_s()},
+      {"optimus_wall_faults_seconds", m.wall_faults_s},
+      {"optimus_wall_schedule_seconds", m.wall_schedule_s},
+      {"optimus_wall_advance_seconds", m.wall_advance_s},
+      {"optimus_wall_audit_seconds", m.wall_audit_s},
+      {"optimus_wall_events_seconds", m.wall_events_s},
   };
-  EXPECT_DOUBLE_EQ(counter("optimus_jobs_completed_total"), metrics.completed_jobs);
-  EXPECT_DOUBLE_EQ(counter("optimus_scalings_total"), metrics.total_scalings);
-  EXPECT_DOUBLE_EQ(counter("optimus_server_crashes_total"), metrics.server_crashes);
-  EXPECT_DOUBLE_EQ(counter("optimus_job_evictions_total"), metrics.job_evictions);
-  EXPECT_DOUBLE_EQ(counter("optimus_task_failures_total"), metrics.task_failures);
-  EXPECT_DOUBLE_EQ(counter("optimus_checkpoints_total"), metrics.checkpoints_taken);
-  EXPECT_DOUBLE_EQ(counter("optimus_rolled_back_steps_total"),
-                   metrics.rolled_back_steps);
-  EXPECT_DOUBLE_EQ(counter("optimus_audit_checks_total"), metrics.audit_checks);
-  EXPECT_DOUBLE_EQ(counter("optimus_audit_violations_total"),
-                   metrics.audit_violations);
-  EXPECT_DOUBLE_EQ(counter("optimus_straggler_replacements_total"),
-                   metrics.straggler_replacements);
-  EXPECT_GT(counter("optimus_speed_probes_total"), 0.0);
-  EXPECT_GE(counter("optimus_speed_probes_total"),
-            counter("optimus_speed_evals_total"));
-  EXPECT_GT(counter("optimus_alloc_grants_total"), 0.0);
-  EXPECT_GT(counter("optimus_conv_fits_total"), 0.0);
-  EXPECT_GT(counter("optimus_speedmodel_fits_total"), 0.0);
-
-  // JCT histogram count equals completed jobs; its sum equals the JCT sum.
-  const Metric* jct = reg.Find("optimus_jct_seconds");
-  ASSERT_NE(jct, nullptr);
-  const Histogram* h = static_cast<const Histogram*>(jct);
-  EXPECT_EQ(h->count(), metrics.completed_jobs);
-  double jct_sum = 0.0;
-  for (double v : metrics.jcts) {
-    jct_sum += v;
+  for (const auto& [name, expected] : pairs) {
+    EXPECT_EQ(RegistryScalar(sim.registry(), name), expected) << name << " " << where;
   }
-  EXPECT_NEAR(h->sum(), jct_sum, 1e-6);
+}
 
-  // Wall phases: profiling gauges exist and mirror the RunMetrics fields.
-  const Metric* wall = reg.Find("optimus_wall_schedule_seconds");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_TRUE(wall->profiling());
-  EXPECT_DOUBLE_EQ(static_cast<const Gauge*>(wall)->value(),
-                   metrics.wall_schedule_s);
+TEST(SimObservabilityTest, RegistryMirrorsRunMetricsAndWallPhases) {
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SCOPED_TRACE(EngineName(engine));
+    std::unique_ptr<Simulator> sim = MakeScenario(1, true, true, engine);
+    const RunMetrics metrics = sim->Run();
+    const MetricsRegistry& reg = sim->registry();
+    ExpectRegistryMatchesRun(*sim, metrics, "after Run");
+    // Run() returns the live view's totals.
+    ExpectRegistryMatchesRun(*sim, sim->metrics(), "metrics() after Run");
 
-  // Flight recorder saw the run's lifecycle.
-  EXPECT_GT(sim->flight_recorder().total_recorded(), 0u);
-  bool saw_crash = false;
-  bool saw_audit = false;
-  for (const FlightEvent& e : sim->flight_recorder().Events()) {
-    saw_crash |= e.kind == FlightEventKind::kServerCrash;
-    saw_audit |= e.kind == FlightEventKind::kAuditCheck;
+    auto counter = [&reg](const char* name) { return RegistryScalar(reg, name); };
+    EXPECT_EQ(counter("optimus_jobs_submitted_total"), metrics.total_jobs);
+    EXPECT_GT(counter("optimus_speed_probes_total"), 0.0);
+    EXPECT_GE(counter("optimus_speed_probes_total"),
+              counter("optimus_speed_evals_total"));
+    EXPECT_GT(counter("optimus_alloc_grants_total"), 0.0);
+    EXPECT_GT(counter("optimus_conv_fits_total"), 0.0);
+    EXPECT_GT(counter("optimus_speedmodel_fits_total"), 0.0);
+
+    // JCT histogram count equals completed jobs; its sum equals the JCT sum.
+    const Metric* jct = reg.Find("optimus_jct_seconds");
+    ASSERT_NE(jct, nullptr);
+    const Histogram* h = static_cast<const Histogram*>(jct);
+    EXPECT_EQ(h->count(), metrics.completed_jobs);
+    double jct_sum = 0.0;
+    for (double v : metrics.jcts) {
+      jct_sum += v;
+    }
+    EXPECT_NEAR(h->sum(), jct_sum, 1e-6);
+
+    // Wall phases are profiling gauges.
+    const Metric* wall = reg.Find("optimus_wall_schedule_seconds");
+    ASSERT_NE(wall, nullptr);
+    EXPECT_TRUE(wall->profiling());
+
+    // Flight recorder saw the run's lifecycle.
+    EXPECT_GT(sim->flight_recorder().total_recorded(), 0u);
+    bool saw_crash = false;
+    bool saw_audit = false;
+    for (const FlightEvent& e : sim->flight_recorder().Events()) {
+      saw_crash |= e.kind == FlightEventKind::kServerCrash;
+      saw_audit |= e.kind == FlightEventKind::kAuditCheck;
+    }
+    EXPECT_TRUE(saw_audit);
+    (void)saw_crash;  // the tail may have rotated past the early crashes
   }
-  EXPECT_TRUE(saw_audit);
-  (void)saw_crash;  // the tail may have rotated past the early crashes
+}
+
+// Between two rounds of the event engine — after a completion the last round
+// has not seen — the export still equals the run's own totals.
+TEST(SimObservabilityTest, EventEngineExportIsCurrentBetweenRounds) {
+  std::unique_ptr<Simulator> full = MakeScenario(1, true, true, SimEngine::kEvents);
+  full->Run();
+  double first_done = -1.0;
+  for (const SimEvent& e : full->trace().events()) {
+    if (e.type == SimEventType::kCompleted) {
+      first_done = e.time_s;
+      break;
+    }
+  }
+  ASSERT_GT(first_done, 0.0);
+  const double interval_s = SimulatorConfig().interval_s;
+  ASSERT_NE(std::fmod(first_done, interval_s), 0.0)
+      << "the first completion must fall strictly between two rounds";
+
+  std::unique_ptr<Simulator> sim = MakeScenario(1, true, true, SimEngine::kEvents);
+  sim->AdvanceTo(first_done);
+  ASSERT_GE(sim->metrics().completed_jobs, 1);
+  EXPECT_EQ(sim->now_s(), first_done);
+  ExpectRegistryMatchesRun(*sim, sim->metrics(), "between rounds");
+  // The series row of the last round predates the completion; the export
+  // does not.
+  EXPECT_LT(sim->series().times().back(), first_done);
 }
 
 }  // namespace
