@@ -230,28 +230,37 @@ FaultInjector::FaultInjector(const FaultConfig& config, int num_servers)
 
 FaultInjector::IntervalFaults FaultInjector::Advance(double now_s) {
   IntervalFaults out;
-  // Snapshot up/down before applying this span's transitions, then report
-  // only the net change per server — a server that flaps within one skipped
-  // span produces no visible transition.
-  std::vector<int> touched;
-  std::vector<char> was_down(down_count_.size(), 0);
-  for (size_t s = 0; s < down_count_.size(); ++s) {
-    was_down[s] = down_count_[s] > 0 ? 1 : 0;
-  }
+  // Snapshot up/down of the servers this span touches before applying its
+  // transitions, then report only the net change per server — a server that
+  // flaps within one skipped span produces no visible transition.
+  const size_t first = cursor_;
   while (cursor_ < transitions_.size() && transitions_[cursor_].time_s <= now_s) {
-    const Transition& t = transitions_[cursor_++];
-    down_count_[t.server] += t.delta;
-    OPTIMUS_CHECK_GE(down_count_[t.server], 0);
-    touched.push_back(t.server);
+    ++cursor_;
+  }
+  std::vector<int> touched;
+  for (size_t i = first; i < cursor_; ++i) {
+    touched.push_back(transitions_[i].server);
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (int s : touched) {
+  std::vector<char> was_down(touched.size());
+  for (size_t i = 0; i < touched.size(); ++i) {
+    was_down[i] = down_count_[touched[i]] > 0 ? 1 : 0;
+  }
+  for (size_t i = first; i < cursor_; ++i) {
+    const Transition& t = transitions_[i];
+    down_count_[t.server] += t.delta;
+    OPTIMUS_CHECK_GE(down_count_[t.server], 0);
+  }
+  for (size_t i = 0; i < touched.size(); ++i) {
+    const int s = touched[i];
     const bool down = down_count_[s] > 0;
-    if (down && !was_down[s]) {
+    if (down && !was_down[i]) {
       out.crashed.push_back(s);
-    } else if (!down && was_down[s]) {
+      ++servers_down_;
+    } else if (!down && was_down[i]) {
       out.recovered.push_back(s);
+      --servers_down_;
     }
   }
 
@@ -268,14 +277,6 @@ bool FaultInjector::server_up(int server) const {
     return false;
   }
   return down_count_[static_cast<size_t>(server)] == 0;
-}
-
-int FaultInjector::servers_down() const {
-  int n = 0;
-  for (int c : down_count_) {
-    n += c > 0 ? 1 : 0;
-  }
-  return n;
 }
 
 double FaultInjector::JobFailureProbability(int num_tasks) const {

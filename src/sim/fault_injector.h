@@ -90,7 +90,7 @@ class FaultInjector {
   IntervalFaults Advance(double now_s);
 
   bool server_up(int server) const;
-  int servers_down() const;
+  int servers_down() const { return servers_down_; }
 
   // P[at least one of `num_tasks` tasks fails this interval].
   double JobFailureProbability(int num_tasks) const;
@@ -108,6 +108,7 @@ class FaultInjector {
   std::vector<Transition> transitions_;  // sorted by (time, server, delta)
   size_t cursor_ = 0;
   std::vector<int> down_count_;  // active outages covering each server
+  int servers_down_ = 0;         // servers with down_count_ > 0
 };
 
 }  // namespace optimus

@@ -1,5 +1,6 @@
 #include "src/sim/invariant_auditor.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -13,11 +14,41 @@ constexpr double kEps = 1e-6;
 
 }  // namespace
 
-void InvariantAuditor::NoteRollback(int job_id) { rollback_ok_.insert(job_id); }
+InvariantAuditor::SlotState& InvariantAuditor::Slot(int slot) {
+  OPTIMUS_CHECK_GE(slot, 0) << "job slots are non-negative";
+  if (static_cast<size_t>(slot) >= slots_.size()) {
+    slots_.resize(static_cast<size_t>(slot) + 1);
+  }
+  return slots_[static_cast<size_t>(slot)];
+}
 
-void InvariantAuditor::NoteRetired(int job_id) {
-  last_steps_.erase(job_id);
-  rollback_ok_.erase(job_id);
+const InvariantAuditor::TrackedJob* InvariantAuditor::Tracked(int slot) const {
+  if (slot < 0 || static_cast<size_t>(slot) >= slots_.size()) {
+    return nullptr;
+  }
+  const int idx = slots_[static_cast<size_t>(slot)].tracked;
+  return idx < 0 ? nullptr : &tracked_[static_cast<size_t>(idx)];
+}
+
+void InvariantAuditor::NoteRollback(int slot) {
+  SlotState& st = Slot(slot);
+  if (!st.rollback_ok) {
+    st.rollback_ok = true;
+    rollback_slots_.push_back(slot);
+  }
+}
+
+void InvariantAuditor::NoteRetired(int slot) {
+  SlotState& st = Slot(slot);
+  st.has_last = false;
+  st.rollback_ok = false;
+}
+
+void InvariantAuditor::ClearRollbacks() {
+  for (const int slot : rollback_slots_) {
+    slots_[static_cast<size_t>(slot)].rollback_ok = false;
+  }
+  rollback_slots_.clear();
 }
 
 void InvariantAuditor::Report(double now_s, const char* invariant,
@@ -74,16 +105,15 @@ InvariantAuditor::Census InvariantAuditor::CheckJobScalars(
     }
 
     // Progress monotonicity (modulo announced rollbacks).
-    if (const auto it = last_steps_.find(job.job_id); it != last_steps_.end()) {
-      if (job.steps_done < it->second - kEps &&
-          rollback_ok_.find(job.job_id) == rollback_ok_.end()) {
-        std::ostringstream os;
-        os << "job " << job.job_id << " progress went backwards without a "
-           << "rollback: " << it->second << " -> " << job.steps_done << " steps";
-        Report(now_s, "progress", os.str());
-      }
+    SlotState& st = Slot(job.slot);
+    if (st.has_last && job.steps_done < st.last_steps - kEps && !st.rollback_ok) {
+      std::ostringstream os;
+      os << "job " << job.job_id << " progress went backwards without a "
+         << "rollback: " << st.last_steps << " -> " << job.steps_done << " steps";
+      Report(now_s, "progress", os.str());
     }
-    last_steps_[job.job_id] = job.steps_done;
+    st.last_steps = job.steps_done;
+    st.has_last = true;
   }
   return census;
 }
@@ -189,65 +219,111 @@ void InvariantAuditor::Check(double now_s, const std::vector<Server>& servers,
 
   CheckAccounting(now_s, census, counts);
 
-  rollback_ok_.clear();
+  ClearRollbacks();
 }
 
 void InvariantAuditor::SetClusterSize(size_t n_servers) {
-  server_load_.resize(n_servers);
+  occupants_.resize(n_servers);
+  dirty_.resize(n_servers, 0);
 }
 
-void InvariantAuditor::SetPlacement(int job_id, const Resources& worker_demand,
+void InvariantAuditor::MarkDirty(int server) {
+  char& flag = dirty_[static_cast<size_t>(server)];
+  if (flag == 0) {
+    flag = 1;
+    dirty_servers_.push_back(server);
+  }
+}
+
+void InvariantAuditor::SetPlacement(int slot, int job_id,
+                                    const Resources& worker_demand,
                                     const Resources& ps_demand,
                                     const JobPlacement& placement) {
-  ClearPlacement(job_id);
+  if (const TrackedJob* tracked = Tracked(slot);
+      tracked != nullptr && tracked->job_id == job_id &&
+      tracked->worker_demand == worker_demand &&
+      tracked->ps_demand == ps_demand &&
+      tracked->tasks.size() == placement.used_servers.size()) {
+    // The common round: the job keeps its placement. Compare in place and
+    // leave every structure (and the servers' dirty flags) untouched.
+    bool same = true;
+    for (size_t i = 0; same && i < tracked->tasks.size(); ++i) {
+      const TrackedTask& task = tracked->tasks[i];
+      same = task.server == placement.used_servers[i] &&
+             task.workers == placement.used_workers[i] &&
+             task.ps == placement.used_ps[i];
+    }
+    if (same) {
+      return;
+    }
+  }
+  ClearPlacement(slot);
   if (placement.empty()) {
     return;
   }
-  TrackedJob tracked;
+  int idx;
+  if (!free_tracked_.empty()) {
+    idx = free_tracked_.back();
+    free_tracked_.pop_back();
+  } else {
+    idx = static_cast<int>(tracked_.size());
+    tracked_.emplace_back();
+  }
+  Slot(slot).tracked = idx;
+  TrackedJob& tracked = tracked_[static_cast<size_t>(idx)];
+  tracked.job_id = job_id;
   tracked.worker_demand = worker_demand;
   tracked.ps_demand = ps_demand;
+  tracked.num_workers = 0;
+  tracked.num_ps = 0;
   placement.ForEachUsed([&](size_t s, int w, int p) {
+    OPTIMUS_CHECK_LT(s, occupants_.size())
+        << "SetClusterSize was not called (or placement outgrew the cluster)";
     tracked.tasks.push_back({static_cast<int>(s), w, p});
     tracked.num_workers += w;
     tracked.num_ps += p;
-    OPTIMUS_CHECK_LT(s, server_load_.size())
-        << "SetClusterSize was not called (or placement outgrew the cluster)";
-    ServerLoad& load = server_load_[s];
-    load.jobs[job_id] = {w, p};
-    occupied_.insert(static_cast<int>(s));
+    std::vector<Occupant>& on_server = occupants_[s];
+    const auto pos = std::lower_bound(
+        on_server.begin(), on_server.end(), job_id,
+        [](const Occupant& o, int id) { return o.job_id < id; });
+    on_server.insert(pos, {job_id, slot, w, p});
     MarkDirty(static_cast<int>(s));
   });
-  tracked_[job_id] = std::move(tracked);
 }
 
-void InvariantAuditor::ClearPlacement(int job_id) {
-  const auto it = tracked_.find(job_id);
-  if (it == tracked_.end()) {
+void InvariantAuditor::ClearPlacement(int slot) {
+  if (Tracked(slot) == nullptr) {
     return;
   }
-  for (const TrackedTask& task : it->second.tasks) {
-    ServerLoad& load = server_load_[static_cast<size_t>(task.server)];
-    load.jobs.erase(job_id);
-    if (load.jobs.empty()) {
-      occupied_.erase(task.server);
-    }
+  SlotState& st = slots_[static_cast<size_t>(slot)];
+  TrackedJob& tracked = tracked_[static_cast<size_t>(st.tracked)];
+  for (const TrackedTask& task : tracked.tasks) {
+    std::vector<Occupant>& on_server = occupants_[static_cast<size_t>(task.server)];
+    const auto pos = std::lower_bound(
+        on_server.begin(), on_server.end(), tracked.job_id,
+        [](const Occupant& o, int id) { return o.job_id < id; });
+    OPTIMUS_CHECK(pos != on_server.end() && pos->job_id == tracked.job_id);
+    on_server.erase(pos);
     MarkDirty(task.server);
   }
-  tracked_.erase(it);
+  tracked.tasks.clear();  // keeps its capacity for the next pool user
+  free_tracked_.push_back(st.tracked);
+  st.tracked = -1;
 }
 
 Resources InvariantAuditor::DeriveServerLoad(size_t s) const {
   Resources load;
-  for (const auto& [job_id, wp] : server_load_[s].jobs) {
-    const auto it = tracked_.find(job_id);
-    OPTIMUS_CHECK(it != tracked_.end());
-    load += it->second.worker_demand * wp.first + it->second.ps_demand * wp.second;
+  for (const Occupant& o : occupants_[s]) {
+    const TrackedJob* tracked = Tracked(o.slot);
+    OPTIMUS_CHECK(tracked != nullptr);
+    load += tracked->worker_demand * o.workers + tracked->ps_demand * o.ps;
   }
   return load;
 }
 
 void InvariantAuditor::CheckIncremental(double now_s,
                                         const std::vector<Server>& servers,
+                                        const std::vector<int>& down_servers,
                                         const std::vector<JobView>& jobs,
                                         const Counts& counts) {
   ++checks_run_;
@@ -259,45 +335,47 @@ void InvariantAuditor::CheckIncremental(double now_s,
         job.placement->empty()) {
       continue;
     }
-    const auto it = tracked_.find(job.job_id);
-    if (it == tracked_.end()) {
+    const TrackedJob* tracked = Tracked(job.slot);
+    if (tracked == nullptr) {
       std::ostringstream os;
       os << "running job " << job.job_id << " has a placement but no tracked "
          << "contribution";
       Report(now_s, "capacity", os.str());
       continue;
     }
-    if (it->second.num_workers != job.num_workers ||
-        it->second.num_ps != job.num_ps) {
+    if (tracked->num_workers != job.num_workers || tracked->num_ps != job.num_ps) {
       std::ostringstream os;
-      os << "job " << job.job_id << " placement totals (" << it->second.num_ps
-         << ", " << it->second.num_workers << ") != allocation (" << job.num_ps
+      os << "job " << job.job_id << " placement totals (" << tracked->num_ps
+         << ", " << tracked->num_workers << ") != allocation (" << job.num_ps
          << ", " << job.num_workers << ")";
       Report(now_s, "capacity", os.str());
     }
   }
 
-  // Dead-server: any occupied server must be available.
-  for (const int s : occupied_) {
-    if (servers[static_cast<size_t>(s)].available()) {
-      continue;
+  // Dead-server: no down server may be occupied.
+  for (const int s : down_servers) {
+    if (static_cast<size_t>(s) >= occupants_.size()) {
+      continue;  // outside the tracked cluster: nothing placed there
     }
-    for (const auto& [job_id, wp] : server_load_[static_cast<size_t>(s)].jobs) {
+    for (const Occupant& o : occupants_[static_cast<size_t>(s)]) {
       std::ostringstream os;
-      os << "job " << job_id << " has " << wp.first << " worker(s) and "
-         << wp.second << " ps on dead server "
-         << servers[static_cast<size_t>(s)].id();
+      os << "job " << o.job_id << " has " << o.workers << " worker(s) and "
+         << o.ps << " ps on dead server " << servers[static_cast<size_t>(s)].id();
       Report(now_s, "dead-server", os.str());
     }
   }
 
   // Capacity conservation on servers whose occupancy changed since the last
   // check — unchanged servers were already verified and cannot have regressed.
+  std::sort(dirty_servers_.begin(), dirty_servers_.end());
+  servers_rederived_ = 0;
   for (const int s : dirty_servers_) {
     const size_t idx = static_cast<size_t>(s);
-    if (server_load_[idx].jobs.empty()) {
+    dirty_[idx] = 0;
+    if (occupants_[idx].empty()) {
       continue;
     }
+    ++servers_rederived_;
     const Resources load = DeriveServerLoad(idx);
     if (!servers[idx].capacity().Fits(load)) {
       std::ostringstream os;
@@ -310,7 +388,7 @@ void InvariantAuditor::CheckIncremental(double now_s,
 
   CheckAccounting(now_s, census, counts);
 
-  rollback_ok_.clear();
+  ClearRollbacks();
 }
 
 void InvariantAuditor::CheckTrackerAgainstViews(double now_s,
@@ -319,9 +397,9 @@ void InvariantAuditor::CheckTrackerAgainstViews(double now_s,
   for (const JobView& job : jobs) {
     const bool should_track = job.state == JobState::kRunning &&
                               job.placement != nullptr && !job.placement->empty();
-    const auto it = tracked_.find(job.job_id);
+    const TrackedJob* tracked = Tracked(job.slot);
     if (!should_track) {
-      if (it != tracked_.end()) {
+      if (tracked != nullptr) {
         std::ostringstream os;
         os << "tracker holds a placement for job " << job.job_id
            << " which is not running";
@@ -330,26 +408,26 @@ void InvariantAuditor::CheckTrackerAgainstViews(double now_s,
       }
       continue;
     }
-    if (it == tracked_.end()) {
+    if (tracked == nullptr) {
       std::ostringstream os;
       os << "tracker is missing running job " << job.job_id;
       Report(now_s, "audit-divergence", os.str());
       continue;
     }
     ++tracked_seen;
-    const TrackedJob& tracked = it->second;
     // Re-derive the expected contribution from the view and compare.
     std::vector<TrackedTask> expected;
     job.placement->ForEachUsed([&](size_t s, int w, int p) {
       expected.push_back({static_cast<int>(s), w, p});
     });
-    bool same = expected.size() == tracked.tasks.size() &&
-                tracked.worker_demand == job.worker_demand &&
-                tracked.ps_demand == job.ps_demand;
+    bool same = expected.size() == tracked->tasks.size() &&
+                tracked->job_id == job.job_id &&
+                tracked->worker_demand == job.worker_demand &&
+                tracked->ps_demand == job.ps_demand;
     for (size_t i = 0; same && i < expected.size(); ++i) {
-      same = expected[i].server == tracked.tasks[i].server &&
-             expected[i].workers == tracked.tasks[i].workers &&
-             expected[i].ps == tracked.tasks[i].ps;
+      same = expected[i].server == tracked->tasks[i].server &&
+             expected[i].workers == tracked->tasks[i].workers &&
+             expected[i].ps == tracked->tasks[i].ps;
     }
     if (!same) {
       std::ostringstream os;
@@ -357,9 +435,10 @@ void InvariantAuditor::CheckTrackerAgainstViews(double now_s,
       Report(now_s, "audit-divergence", os.str());
     }
   }
-  if (tracked_seen != tracked_.size()) {
+  const size_t tracked_count = tracked_.size() - free_tracked_.size();
+  if (tracked_seen != tracked_count) {
     std::ostringstream os;
-    os << "tracker holds " << tracked_.size() << " job(s), views cover "
+    os << "tracker holds " << tracked_count << " job(s), views cover "
        << tracked_seen;
     Report(now_s, "audit-divergence", os.str());
   }

@@ -21,11 +21,17 @@
 //                      first principles — O(jobs * servers) per call.
 //   CheckIncremental() reads a placement tracker maintained by delta updates
 //                      (SetPlacement / ClearPlacement at placement, eviction
-//                      and completion time) — O(changed) per call. The
-//                      simulator runs this most intervals and falls back to
-//                      the full re-derivation periodically, pairing it with
-//                      CheckTrackerAgainstViews() so any drift between the
+//                      and completion time) — O(jobs + changed servers) per
+//                      call. The simulator runs this most intervals and falls
+//                      back to the full re-derivation periodically, pairing it
+//                      with CheckTrackerAgainstViews() so any drift between the
 //                      tracker and the true state is itself a violation.
+//
+// Every per-job structure is addressed by the caller's job slot (the
+// simulator's dense index into its job table), never by job id: ids are
+// sparse (service submissions pick arbitrary ones) while slots are dense, so
+// per-job state is one vector element and a check costs no tree lookups. Job
+// ids only name jobs in violation messages and order each server's occupants.
 //
 // Violations are collected with timestamps; the simulator reports them
 // loudly at the end of the run (fatally when audit_fatal is set). The checks
@@ -36,8 +42,6 @@
 #define SRC_SIM_INVARIANT_AUDITOR_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -58,7 +62,8 @@ class InvariantAuditor {
  public:
   // The auditor's read-only view of one job at check time.
   struct JobView {
-    int job_id = 0;
+    int slot = 0;    // the caller's dense job index; keys all per-job state
+    int job_id = 0;  // names the job in violation messages
     JobState state = JobState::kPending;
     double steps_done = 0.0;
     int num_ps = 0;
@@ -82,16 +87,15 @@ class InvariantAuditor {
     int retired = 0;
   };
 
-  // Announces that `job_id`'s progress was legitimately rolled back to a
-  // checkpoint since the last Check (crash eviction or task failure); the
-  // next Check allows a progress decrease for it, once.
-  void NoteRollback(int job_id);
+  // Announces that the job in `slot` had its progress legitimately rolled
+  // back to a checkpoint since the last Check (crash eviction or task
+  // failure); the next Check allows a progress decrease for it, once.
+  void NoteRollback(int slot);
 
-  // Announces that `job_id`'s runtime record was retired after completion
-  // (streaming admission): its progress history is dropped so the per-job
-  // maps track only live jobs. The job must already have left the placement
-  // tracker (completion cleared it).
-  void NoteRetired(int job_id);
+  // Announces that the runtime record in `slot` was retired after completion
+  // (streaming admission): its progress history is dropped. The job must
+  // already have left the placement tracker (completion cleared it).
+  void NoteRetired(int slot);
 
   // Runs all invariant checks against the snapshot, re-deriving per-server
   // load from scratch. Appends violations.
@@ -103,18 +107,24 @@ class InvariantAuditor {
   // Sizes the per-server tracker; must be called before SetPlacement.
   void SetClusterSize(size_t n_servers);
 
-  // Delta updates to the placement tracker. SetPlacement replaces job_id's
-  // tracked contribution with `placement` (recording the demands so per-server
-  // load can be re-derived lazily); ClearPlacement removes it (eviction,
-  // pause, completion). Both are O(tasks of the job).
-  void SetPlacement(int job_id, const Resources& worker_demand,
+  // Delta updates to the placement tracker. SetPlacement replaces the
+  // tracked contribution of the job in `slot` with `placement` (recording
+  // the demands so per-server load can be re-derived lazily); ClearPlacement
+  // removes it (eviction, pause, completion). Both are O(tasks of the job).
+  // Re-placing a job exactly as tracked (same tasks, same demands) is a
+  // no-op: nothing is cleared, re-inserted or marked for re-checking.
+  void SetPlacement(int slot, int job_id, const Resources& worker_demand,
                     const Resources& ps_demand, const JobPlacement& placement);
-  void ClearPlacement(int job_id);
+  void ClearPlacement(int slot);
 
   // Same invariants as Check(), but per-server load comes from the tracker:
-  // only servers whose occupancy changed since the last check are re-summed,
-  // so the cost is O(jobs + changed-servers) instead of O(jobs * servers).
+  // only servers whose occupancy changed since the last incremental check
+  // are re-summed, and the dead-server scan visits only `down_servers` (the
+  // ascending indices of the unavailable servers, which the caller keeps as
+  // availability changes), so the cost is O(jobs + changed + down servers)
+  // instead of O(jobs * servers).
   void CheckIncremental(double now_s, const std::vector<Server>& servers,
+                        const std::vector<int>& down_servers,
                         const std::vector<JobView>& jobs, const Counts& counts);
 
   // Cross-checks the tracker against the ground-truth views: every running
@@ -128,6 +138,9 @@ class InvariantAuditor {
   bool ok() const { return violations_.empty(); }
   const std::vector<AuditViolation>& violations() const { return violations_; }
   int64_t checks_run() const { return checks_run_; }
+  // Servers whose load the last CheckIncremental re-derived (occupied
+  // servers whose occupancy changed since the check before it).
+  int64_t servers_rederived() const { return servers_rederived_; }
 
   // When set, every reported violation is also recorded into the flight
   // recorder (kind kAuditViolation, detail "invariant: detail"), so the
@@ -154,38 +167,57 @@ class InvariantAuditor {
     int ps = 0;
   };
   struct TrackedJob {
+    int job_id = 0;
     std::vector<TrackedTask> tasks;  // ascending server order
     Resources worker_demand;
     Resources ps_demand;
     int num_workers = 0;
     int num_ps = 0;
   };
-  struct ServerLoad {
-    // job id -> (workers, ps) on this server; summed in job-id order when the
-    // load is re-derived, so the result is deterministic.
-    std::map<int, std::pair<int, int>> jobs;
+  // Per-slot state: 16 bytes per job ever seen. The tracked contribution
+  // lives in a pool sized by the running set, not by every slot.
+  struct SlotState {
+    double last_steps = 0.0;
+    int tracked = -1;          // index into tracked_, -1 = nothing tracked
+    bool has_last = false;     // last_steps holds the previous check's value
+    bool rollback_ok = false;  // NoteRollback since the last check
+  };
+  // One job's tasks on one server. A server's occupants are kept sorted by
+  // job id, so its load is summed in one fixed order.
+  struct Occupant {
+    int job_id = 0;
+    int slot = 0;
+    int workers = 0;
+    int ps = 0;
   };
 
   void Report(double now_s, const char* invariant, std::string detail);
   // Per-job scalar invariants shared by both check modes: state sanity,
-  // progress monotonicity (consuming rollback_ok_ at the end), and the
-  // accounting identities. Returns the state census.
+  // progress monotonicity (consuming the rollback allowances at the end),
+  // and the accounting identities. Returns the state census.
   Census CheckJobScalars(double now_s, const std::vector<JobView>& jobs);
   void CheckAccounting(double now_s, const Census& census, const Counts& counts);
+  // Drops every pending rollback allowance (end of a check).
+  void ClearRollbacks();
+  SlotState& Slot(int slot);
+  // The tracked contribution of `slot`, or null when it has none.
+  const TrackedJob* Tracked(int slot) const;
   Resources DeriveServerLoad(size_t s) const;
-  void MarkDirty(int server) { dirty_servers_.insert(server); }
+  void MarkDirty(int server);
 
-  std::map<int, double> last_steps_;
-  std::set<int> rollback_ok_;
+  std::vector<SlotState> slots_;
+  std::vector<int> rollback_slots_;  // slots whose rollback_ok is set
   std::vector<AuditViolation> violations_;
   int64_t checks_run_ = 0;
+  int64_t servers_rederived_ = 0;
   FlightRecorder* flight_ = nullptr;
 
   // Incremental tracker state.
-  std::map<int, TrackedJob> tracked_;
-  std::vector<ServerLoad> server_load_;
-  std::set<int> occupied_;       // servers with at least one tracked task
-  std::set<int> dirty_servers_;  // occupancy changed since the last check
+  std::vector<TrackedJob> tracked_;  // pool; SlotState::tracked indexes it
+  std::vector<int> free_tracked_;    // pool entries not in use
+  std::vector<std::vector<Occupant>> occupants_;  // per server, by job id
+  std::vector<char> dirty_;          // per server: occupancy changed
+  std::vector<int> dirty_servers_;   // the servers with dirty_ set
 };
 
 }  // namespace optimus

@@ -246,6 +246,11 @@ Simulator::Simulator(SimulatorConfig config, std::vector<Server> servers,
   faults_ = std::make_unique<FaultInjector>(config_.fault,
                                             static_cast<int>(servers_.size()));
   auditor_.SetClusterSize(servers_.size());
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    if (!servers_[i].available()) {
+      down_servers_.push_back(static_cast<int>(i));
+    }
+  }
   if (config_.trace_hash_only) {
     trace_.set_hash_only(true);
   }
@@ -264,8 +269,10 @@ void Simulator::MaterializeSpec(const JobSpec& spec) {
       EstimateDatasetBytes(*spec.model, spec.dataset_scale));
   jr->true_total_epochs = static_cast<double>(
       jr->curve.EpochsToConverge(spec.convergence_delta, spec.patience));
-  const bool inserted = job_index_.emplace(spec.id, jobs_.size()).second;
+  jr->slot = jobs_.size();
+  const bool inserted = job_index_.emplace(spec.id, jr->slot).second;
   OPTIMUS_CHECK(inserted) << "duplicate job id " << spec.id;
+  arrivals_.push({spec.arrival_time_s, jr->slot});
   jobs_.push_back(std::move(jr));
 }
 
@@ -292,7 +299,7 @@ void Simulator::RetireJob(size_t idx) {
   r.jct_s = jr->job.Jct();
   r.total_stall_s = jr->job.total_stall_s();
   ++retired_count_;
-  auditor_.NoteRetired(jr->job.id());
+  auditor_.NoteRetired(static_cast<int>(idx));
   jobs_[idx].reset();
 }
 
@@ -421,7 +428,7 @@ void Simulator::SetupObservability() {
         "Event-kernel events of kind " + kind + " handled.",
         field(event_counts_.counts[static_cast<size_t>(k)]));
     }
-    g("optimus_sim_time_seconds", "Simulated time.", field(now_s_));
+    g("optimus_sim_time_seconds", "Simulated time.", [this] { return now_s(); });
     m_running_tasks_ = registry_.AddGauge(
         "optimus_running_tasks", "Tasks (workers + PS) running last interval.");
     m_jct_seconds_ = registry_.AddHistogram(
@@ -538,16 +545,21 @@ void Simulator::ActivateArrivals() {
   // identical to the serial one; trace events are recorded afterwards, in
   // arrival (input) order, to keep the event log deterministic too.
   MaterializeArrivals(now_s_);
+  std::vector<size_t> due;
+  while (!arrivals_.empty() && arrivals_.top().first <= now_s_) {
+    due.push_back(arrivals_.top().second);
+    arrivals_.pop();
+  }
+  std::sort(due.begin(), due.end());  // slot (input) order
   std::vector<JobRuntime*> arriving;
-  for (auto& jr : jobs_) {
-    if (jr == nullptr) {
-      continue;
+  for (const size_t slot : due) {
+    JobRuntime* jr = jobs_[slot].get();
+    if (jr == nullptr || jr->arrived) {
+      continue;  // killed before its arrival (and possibly retired since)
     }
-    if (!jr->arrived && jr->job.spec().arrival_time_s <= now_s_) {
-      jr->arrived = true;
-      ++arrived_jobs_;
-      arriving.push_back(jr.get());
-    }
+    jr->arrived = true;
+    ++arrived_jobs_;
+    arriving.push_back(jr);
   }
   if (pool_ != nullptr && arriving.size() > 1) {
     pool_->ParallelFor(static_cast<int64_t>(arriving.size()),
@@ -562,6 +574,24 @@ void Simulator::ActivateArrivals() {
     trace_.Record(now_s_, SimEventType::kArrival, jr->job.id(), 0, 0,
                   jr->job.spec().model->name);
   }
+}
+
+double Simulator::NextArrivalS() {
+  while (!arrivals_.empty()) {
+    const JobRuntime* jr = jobs_[arrivals_.top().second].get();
+    if (jr != nullptr && !jr->arrived) {
+      break;
+    }
+    arrivals_.pop();
+  }
+  double next = arrivals_.empty() ? std::numeric_limits<double>::infinity()
+                                  : arrivals_.top().first;
+  if (pending_remaining() > 0) {
+    // Streaming: the head of the pending queue is the earliest
+    // unmaterialized arrival (specs are arrival-sorted).
+    next = std::min(next, pending_specs_[pending_next_].arrival_time_s);
+  }
+  return next;
 }
 
 double Simulator::ErrorFactor(const JobRuntime& jr, double error_magnitude) const {
@@ -853,8 +883,8 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   // event is now stale. No-op under the interval engine.
   jr->seg_active = false;
   ++jr->gen;
-  auditor_.NoteRollback(job.id());
-  auditor_.ClearPlacement(job.id());
+  auditor_.NoteRollback(static_cast<int>(jr->slot));
+  auditor_.ClearPlacement(static_cast<int>(jr->slot));
   ++metrics_.job_evictions;
   ++jr->consecutive_evictions;
   const FaultConfig& fc = config_.fault;
@@ -868,6 +898,41 @@ void Simulator::EvictJob(JobRuntime* jr, const std::string& reason) {
   }
   trace_.Record(now_s_, SimEventType::kEvicted, job.id(), 0, 0, reason);
   flight_.Record(now_s_, FlightEventKind::kEvicted, job.id(), 0, 0, 0.0, reason);
+}
+
+bool Simulator::ApplyFaultEdges(double t,
+                                const FaultInjector::IntervalFaults& faults) {
+  if (!faults.recovered.empty() || !faults.crashed.empty()) {
+    placeable_cap_valid_ = false;  // availability changed
+  }
+  const bool slow_changed = faults.slow_factor != cluster_slow_factor_;
+  if (slow_changed) {
+    cluster_slow_factor_ = faults.slow_factor;
+    trace_.RecordFactor(t, SimEventType::kSlowdown, kClusterEventJobId,
+                        cluster_slow_factor_);
+    flight_.Record(t, FlightEventKind::kSlowdown, -1, 0, 0, cluster_slow_factor_);
+  }
+  for (int sid : faults.recovered) {
+    servers_[static_cast<size_t>(sid)].SetAvailable(true);
+    const auto it = std::lower_bound(down_servers_.begin(), down_servers_.end(), sid);
+    if (it != down_servers_.end() && *it == sid) {
+      down_servers_.erase(it);
+    }
+    ++metrics_.server_recoveries;
+    trace_.RecordServer(t, SimEventType::kServerRecovered, kClusterEventJobId, sid);
+    flight_.Record(t, FlightEventKind::kServerRecovered, -1, sid);
+  }
+  for (int sid : faults.crashed) {
+    servers_[static_cast<size_t>(sid)].SetAvailable(false);
+    const auto it = std::lower_bound(down_servers_.begin(), down_servers_.end(), sid);
+    if (it == down_servers_.end() || *it != sid) {
+      down_servers_.insert(it, sid);
+    }
+    ++metrics_.server_crashes;
+    trace_.RecordServer(t, SimEventType::kServerCrash, kClusterEventJobId, sid);
+    flight_.Record(t, FlightEventKind::kServerCrash, -1, sid);
+  }
+  return slow_changed;
 }
 
 void Simulator::ApplyFaults() {
@@ -893,31 +958,7 @@ void Simulator::ApplyFaults() {
     }
   }
 
-  const FaultInjector::IntervalFaults faults = faults_->Advance(now_s_);
-  if (!faults.recovered.empty() || !faults.crashed.empty()) {
-    placeable_cap_valid_ = false;  // availability changed
-  }
-  if (faults.slow_factor != cluster_slow_factor_) {
-    cluster_slow_factor_ = faults.slow_factor;
-    trace_.RecordFactor(now_s_, SimEventType::kSlowdown, kClusterEventJobId,
-                        cluster_slow_factor_);
-    flight_.Record(now_s_, FlightEventKind::kSlowdown, -1, 0, 0,
-                   cluster_slow_factor_);
-  }
-  for (int sid : faults.recovered) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(true);
-    ++metrics_.server_recoveries;
-    trace_.RecordServer(now_s_, SimEventType::kServerRecovered,
-                        kClusterEventJobId, sid);
-    flight_.Record(now_s_, FlightEventKind::kServerRecovered, -1, sid);
-  }
-  for (int sid : faults.crashed) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(false);
-    ++metrics_.server_crashes;
-    trace_.RecordServer(now_s_, SimEventType::kServerCrash, kClusterEventJobId,
-                        sid);
-    flight_.Record(now_s_, FlightEventKind::kServerCrash, -1, sid);
-  }
+  ApplyFaultEdges(now_s_, faults_->Advance(now_s_));
 
   // Evict every job with a task on a currently-down server (not just the
   // newly crashed ones: an arrival placed while a server flapped must still
@@ -964,7 +1005,7 @@ void Simulator::ApplyFaults() {
         metrics_.rolled_back_steps += lost;
         jr->job.AddStall(
             CheckpointStallSeconds(*jr->job.spec().model, config_.checkpoint));
-        auditor_.NoteRollback(jr->job.id());
+        auditor_.NoteRollback(static_cast<int>(jr->slot));
         ++metrics_.task_failures;
         trace_.Record(now_s_, SimEventType::kTaskFailed, jr->job.id(),
                       jr->job.num_ps(), jr->job.num_workers());
@@ -991,27 +1032,25 @@ void Simulator::RunAudit() {
     }
     ++counts.submitted;
     const Job& job = jr->job;
-    views.push_back({job.id(), job.state(), job.steps_done(), job.num_ps(),
-                     job.num_workers(), job.spec().ps_demand,
-                     job.spec().worker_demand, &job.placement(),
-                     job.spec().comm});
+    views.push_back({static_cast<int>(jr->slot), job.id(), job.state(),
+                     job.steps_done(), job.num_ps(), job.num_workers(),
+                     job.spec().ps_demand, job.spec().worker_demand,
+                     &job.placement(), job.spec().comm});
   }
   counts.completed_metric = metrics_.completed_jobs;
   counts.retired = retired_count_;
   const double check_time = now_s_ + config_.interval_s;
   // Most intervals run the O(changed) incremental check; every
-  // full_audit_period-th check (and always, when incremental auditing is
-  // off) re-derives everything from the views and cross-checks the tracker
-  // against them, so incremental-state drift cannot go unnoticed.
-  const bool full = !config_.incremental_audit || config_.full_audit_period <= 1 ||
+  // full_audit_period-th check re-derives everything from the views and
+  // cross-checks the tracker against them, so incremental-state drift cannot
+  // go unnoticed.
+  const bool full = config_.full_audit_period <= 1 ||
                     auditor_.checks_run() % config_.full_audit_period == 0;
   if (full) {
     auditor_.Check(check_time, servers_, views, counts);
-    if (config_.incremental_audit) {
-      auditor_.CheckTrackerAgainstViews(check_time, views);
-    }
+    auditor_.CheckTrackerAgainstViews(check_time, views);
   } else {
-    auditor_.CheckIncremental(check_time, servers_, views, counts);
+    auditor_.CheckIncremental(check_time, servers_, down_servers_, views, counts);
   }
   metrics_.audit_checks = auditor_.checks_run();
   metrics_.audit_violations = static_cast<int64_t>(auditor_.violations().size());
@@ -1234,7 +1273,8 @@ void Simulator::ScheduleActiveJobs() {
         // checkpoint stall — the framework just feeds larger mini-batches.
         jr->job.set_batch_override(batch_by_index[job_idx]);
       }
-      auditor_.SetPlacement(id, jr->job.spec().worker_demand,
+      auditor_.SetPlacement(static_cast<int>(job_idx), id,
+                            jr->job.spec().worker_demand,
                             jr->job.spec().ps_demand, jr->job.placement());
       jr->job.set_state(JobState::kRunning);
       if (first_schedule) {
@@ -1253,7 +1293,7 @@ void Simulator::ScheduleActiveJobs() {
     } else {
       jr->job.SetAllocation(0, 0, {});
       jr->job.set_batch_override(0);
-      auditor_.ClearPlacement(id);
+      auditor_.ClearPlacement(static_cast<int>(job_idx));
       jr->job.set_state(jr->job.steps_done() > 0 ? JobState::kPaused
                                                  : JobState::kPending);
       if (old_state == JobState::kRunning) {
@@ -1486,7 +1526,7 @@ void Simulator::AdvanceInterval() {
     if (out.completed) {
       ++completed_;
       ++metrics_.completed_jobs;
-      auditor_.ClearPlacement(jr->job.id());
+      auditor_.ClearPlacement(static_cast<int>(jr->slot));
       done.push_back(i);
     }
     if (!out.ran) {
@@ -1565,18 +1605,7 @@ bool Simulator::StepInterval() {
     }
   }
   if (!any_active) {
-    double next_arrival = std::numeric_limits<double>::infinity();
-    for (const auto& jr : jobs_) {
-      if (jr != nullptr && !jr->arrived) {
-        next_arrival = std::min(next_arrival, jr->job.spec().arrival_time_s);
-      }
-    }
-    if (pending_remaining() > 0) {
-      // Streaming: the head of the pending queue is the earliest
-      // unmaterialized arrival (specs are arrival-sorted).
-      next_arrival = std::min(next_arrival,
-                              pending_specs_[pending_next_].arrival_time_s);
-    }
+    const double next_arrival = NextArrivalS();
     if (!std::isfinite(next_arrival)) {
       return false;  // nothing left anywhere
     }
@@ -1698,6 +1727,11 @@ void Simulator::AdvanceTo(double t) {
     while (now_s_ < t && StepInterval()) {
     }
   }
+  if (completed_ >= static_cast<int>(jobs_.size()) && pending_remaining() == 0) {
+    // Drained: nothing is left to simulate, so the caller's clock moves on
+    // to the requested time while now_s_ stays on the round grid.
+    idle_clock_s_ = std::max(idle_clock_s_, std::min(t, config_.max_sim_time_s));
+  }
   SyncRunMetrics();
 }
 
@@ -1720,27 +1754,17 @@ bool Simulator::SubmitJob(const JobSpec& spec, std::string* error) {
   if (job_index_.count(spec.id) > 0) {
     return fail("job id " + std::to_string(spec.id) + " already exists");
   }
-  if (spec.arrival_time_s < now_s_) {
+  if (spec.arrival_time_s < now_s()) {
     std::ostringstream os;
     os << "arrival_time_s " << spec.arrival_time_s << " is in the past (now "
-       << now_s_ << ")";
+       << now_s() << ")";
     return fail(os.str());
   }
 
-  // Mirror the constructor's per-job initialization exactly: the RNG streams
-  // are split from the run seed by job id, so a job submitted online draws
-  // the same streams it would have drawn as a constructor spec.
-  auto jr = std::make_unique<JobRuntime>(spec);
-  jr->rng = rng_.Split(static_cast<uint64_t>(spec.id) + 1000);
-  jr->fault_rng = rng_.Split(static_cast<uint64_t>(spec.id) + 500000);
-  jr->error_sign = jr->rng.Bernoulli(0.5) ? 1 : -1;
-  jr->blocks = GenerateParamBlocks(*spec.model);
-  jr->data = std::make_unique<DataServing>(
-      EstimateDatasetBytes(*spec.model, spec.dataset_scale));
-  jr->true_total_epochs = static_cast<double>(
-      jr->curve.EpochsToConverge(spec.convergence_delta, spec.patience));
-  job_index_.emplace(spec.id, jobs_.size());
-  jobs_.push_back(std::move(jr));
+  // The constructor's per-job initialization, exactly: the RNG streams are
+  // split from the run seed by job id, so a job submitted online draws the
+  // same streams it would have drawn as a constructor spec.
+  MaterializeSpec(spec);
   ++metrics_.total_jobs;
 
   if (config_.engine == SimEngine::kEvents && events_seeded_) {
@@ -1784,7 +1808,7 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   if (job.num_workers() > 0 || job.num_ps() > 0) {
     job.SetAllocation(0, 0, {});
   }
-  auditor_.ClearPlacement(job.id());
+  auditor_.ClearPlacement(static_cast<int>(jr->slot));
   // Event engine: stop the segment and invalidate pending epoch events.
   // Progress since the job's last event is discarded — the job is being
   // cancelled — and the kill is deterministic either way.
@@ -1799,11 +1823,11 @@ bool Simulator::KillJob(int job_id, std::string* error) {
   }
   jr->killed = true;
   ++metrics_.completed_jobs;
-  job.MarkCompleted(now_s_);
+  job.MarkCompleted(now_s());
   ++completed_;
   ++metrics_.jobs_killed;
-  trace_.Record(now_s_, SimEventType::kKilled, job.id(), event_ps, event_workers);
-  flight_.Record(now_s_, FlightEventKind::kEvicted, job.id(), event_ps,
+  trace_.Record(now_s(), SimEventType::kKilled, job.id(), event_ps, event_workers);
+  flight_.Record(now_s(), FlightEventKind::kEvicted, job.id(), event_ps,
                  event_workers, 0.0, "killed");
   return true;
 }

@@ -11,9 +11,12 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <map>
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/threadpool.h"
@@ -23,6 +26,7 @@
 #include "src/cluster/job.h"
 #include "src/cluster/server.h"
 #include "src/cluster/straggler.h"
+#include "src/common/min_heap.h"
 #include "src/common/rng.h"
 #include "src/models/loss_curve.h"
 #include "src/models/param_blocks.h"
@@ -175,13 +179,12 @@ struct SimulatorConfig {
   // audit_fatal, any violation aborts the run loudly instead.
   bool audit = true;
   bool audit_fatal = false;
-  // Incremental auditing: per-server load is maintained by deltas at
-  // placement/eviction/completion time and checked in O(changed); every
-  // full_audit_period-th check re-derives everything from first principles
-  // and cross-checks the incremental tracker against it. Both paths enforce
-  // the same invariants; incremental_audit = false re-derives every interval
-  // (the pre-optimization behavior).
-  bool incremental_audit = true;
+  // Audit cadence: most checks read the auditor's incremental tracker
+  // (per-server load maintained by deltas at placement/eviction/completion
+  // time, checked in O(changed)); every full_audit_period-th check
+  // re-derives everything from first principles and cross-checks the
+  // tracker against it. Both paths enforce the same invariants;
+  // full_audit_period = 1 runs the full re-derivation every interval.
   int full_audit_period = 16;
   // Model-fitting caches (Gram-cached NNLS refits, dirty-flag fit skipping,
   // memoized epoch walks). The cached paths are bit-identical to the
@@ -245,10 +248,12 @@ class Simulator {
 
   // Advances simulated time through `t` on either engine: the interval
   // engine steps whole intervals while now_s() < t; the event engine drains
-  // every event with time <= t. Stops early once nothing can happen (all
-  // jobs completed and none pending) or the time cap is reached. Safe to
-  // call repeatedly; Run() may still be used afterwards to finish the run
-  // and aggregate RunMetrics.
+  // every event with time <= t. Once the workload has drained (all jobs
+  // completed and none pending) no round runs, and now_s() becomes
+  // min(t, max_sim_time_s); a job submitted later resumes the rounds on the
+  // interval grid the drained run left off, exactly as in a batch run that
+  // held it from the start. Safe to call repeatedly; Run() may still be
+  // used afterwards to finish the run and aggregate RunMetrics.
   void AdvanceTo(double t);
 
   // Registers a job while the simulator is live. The spec's arrival time
@@ -277,7 +282,7 @@ class Simulator {
   // scheduler's prior for unfitted jobs.
   WhatIfResult WhatIf(const JobSpec& candidate);
 
-  double now_s() const { return now_s_; }
+  double now_s() const { return std::max(now_s_, idle_clock_s_); }
   const Job& job(int id) const;
   // Metrics accumulated so far (Run() returns the final aggregate; this view
   // lets interval-stepping callers read counters without running to the end).
@@ -313,6 +318,7 @@ class Simulator {
                     : LossCurve(spec.model->loss, spec.StepsPerEpoch())) {}
 
     Job job;
+    size_t slot = 0;  // index in jobs_; keys the auditor's per-job state
     LossCurve curve;
     std::unique_ptr<ConvergenceModel> conv;
     std::unique_ptr<MultiFamilyConvergenceModel> multi_conv;
@@ -423,12 +429,20 @@ class Simulator {
   // and enqueues its next epoch event.
   void RebuildSegments();
 
+  // Marks every job whose arrival time is <= now_s_ arrived, in slot
+  // order, and initializes its speed model. Pops the due entries of the
+  // arrival heap, so it costs O(arrivals log jobs), not a scan of jobs_.
   void ActivateArrivals();
+  // Earliest arrival time of a job not yet arrived (materialized or still in
+  // the streaming queue); +inf when none is left. Drops heap entries of jobs
+  // killed before their arrival.
+  double NextArrivalS();
   // Constructor-identical per-job initialization (RNG streams split from the
   // run seed by job id, param blocks, data serving, ground-truth epoch
-  // count); appends the runtime to jobs_. Shared by the constructor,
-  // SubmitJob, and streaming materialization, so a job is bitwise the same
-  // object no matter which path created it.
+  // count); appends the runtime to jobs_ and its arrival to the arrival
+  // heap. Shared by the constructor, SubmitJob, and streaming
+  // materialization, so a job is bitwise the same object no matter which
+  // path created it.
   void MaterializeSpec(const JobSpec& spec);
   // Streaming admission: materializes every pending spec whose arrival time
   // is <= t, in queue (spec) order. No-op when the queue head is later.
@@ -470,6 +484,11 @@ class Simulator {
   // scripted server crashes/recoveries (evicting affected jobs), task
   // failures, and the cluster-wide slowdown factor for this interval.
   void ApplyFaults();
+  // Applies one fault-injector step's edges at time t: the cluster slowdown
+  // factor and server crashes/recoveries (availability, down_servers_,
+  // counters, trace and flight events). Shared by ApplyFaults and the event
+  // engine's fault-plan events. Returns whether the slowdown factor changed.
+  bool ApplyFaultEdges(double t, const FaultInjector::IntervalFaults& faults);
   // Evicts a job whose tasks died with a server: rolls progress back to the
   // last checkpoint, charges the restore stall, releases the allocation, and
   // applies the relaunch backoff policy.
@@ -510,7 +529,14 @@ class Simulator {
   Resources placeable_cap_demand_;
   bool placeable_cap_valid_ = false;
   std::vector<std::unique_ptr<JobRuntime>> jobs_;
-  std::map<int, size_t> job_index_;  // job id -> index in jobs_
+  std::unordered_map<int, size_t> job_index_;  // job id -> index in jobs_
+  // (arrival_time_s, slot) of every materialized job not yet activated;
+  // killed-before-arrival entries are dropped when they surface.
+  MinHeap<std::pair<double, size_t>, std::less<std::pair<double, size_t>>>
+      arrivals_;
+  // Indices of the servers that are down, ascending: the auditor's
+  // dead-server check visits only these.
+  std::vector<int> down_servers_;
 
   // --- Streaming admission (config_.streaming) ------------------------------
   // Specs not yet materialized, in non-decreasing arrival order;
@@ -549,7 +575,10 @@ class Simulator {
   InvariantAuditor auditor_;
   double cluster_slow_factor_ = 1.0;
   Rng rng_;
-  double now_s_ = 0.0;
+  double now_s_ = 0.0;  // simulated time of the last round or event
+  // Time AdvanceTo reached past the drain of the workload (0 until then);
+  // now_s() reports the later of the two.
+  double idle_clock_s_ = 0.0;
   int completed_ = 0;
   RunMetrics metrics_;
   EventTrace trace_;

@@ -206,7 +206,7 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
       if (out.completed) {
         ++completed_;
         ++metrics_.completed_jobs;
-        auditor_.ClearPlacement(jr->job.id());
+        auditor_.ClearPlacement(static_cast<int>(jr->slot));
         trace_.RecordEpochs(t, SimEventType::kCompleted, jr->job.id(),
                             out.event_ps, out.event_workers, out.completed_epoch);
         flight_.Record(t, FlightEventKind::kCompleted, jr->job.id(), out.event_ps,
@@ -230,31 +230,7 @@ void Simulator::ProcessEpochBatch(const std::vector<SimKernelEvent>& batch) {
 }
 
 void Simulator::HandleFaultPlanEvent(double t) {
-  const FaultInjector::IntervalFaults faults = faults_->Advance(t);
-  if (!faults.recovered.empty() || !faults.crashed.empty()) {
-    placeable_cap_valid_ = false;  // availability changed
-  }
-  const bool slow_changed = faults.slow_factor != cluster_slow_factor_;
-  if (slow_changed) {
-    cluster_slow_factor_ = faults.slow_factor;
-    trace_.RecordFactor(t, SimEventType::kSlowdown, kClusterEventJobId,
-                        cluster_slow_factor_);
-    flight_.Record(t, FlightEventKind::kSlowdown, -1, 0, 0,
-                   cluster_slow_factor_);
-  }
-  for (int sid : faults.recovered) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(true);
-    ++metrics_.server_recoveries;
-    trace_.RecordServer(t, SimEventType::kServerRecovered, kClusterEventJobId,
-                        sid);
-    flight_.Record(t, FlightEventKind::kServerRecovered, -1, sid);
-  }
-  for (int sid : faults.crashed) {
-    servers_[static_cast<size_t>(sid)].SetAvailable(false);
-    ++metrics_.server_crashes;
-    trace_.RecordServer(t, SimEventType::kServerCrash, kClusterEventJobId, sid);
-    flight_.Record(t, FlightEventKind::kServerCrash, -1, sid);
-  }
+  const bool slow_changed = ApplyFaultEdges(t, faults_->Advance(t));
 
   // Evict at the exact crash instant: a job that loses tasks mid-round stops
   // training then, not at the next boundary (EvictJob settles nothing — the
@@ -483,16 +459,7 @@ void Simulator::HandleRoundEvent(double t) {
     }
   }
   if (!any_active) {
-    double next_arrival = std::numeric_limits<double>::infinity();
-    for (const auto& jr : jobs_) {
-      if (jr != nullptr && !jr->arrived) {
-        next_arrival = std::min(next_arrival, jr->job.spec().arrival_time_s);
-      }
-    }
-    if (pending_remaining() > 0) {
-      next_arrival = std::min(next_arrival,
-                              pending_specs_[pending_next_].arrival_time_s);
-    }
+    const double next_arrival = NextArrivalS();
     if (!std::isfinite(next_arrival)) {
       return;  // nothing left anywhere: no further rounds
     }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,79 @@ TEST(StreamingAdmissionTest, RetiresCompletedJobsAndKeepsAccounting) {
   // Completed jobs were retired: their runtime slots are gone but the
   // aggregate metrics still count them.
   EXPECT_EQ(static_cast<int>(metrics.jcts.size()), metrics.completed_jobs);
+}
+
+// ---------------------------------------------------------------------------
+// Online arrivals out of slot order
+// ---------------------------------------------------------------------------
+
+// A job submitted online may arrive before constructor jobs that have not
+// arrived yet (here: at the very instant one of them does), and a job killed
+// before its arrival must never activate. Neither may perturb the run: it
+// equals a batch construction holding the same specs (the online job last,
+// where SubmitJob appends it) with the same kill at the same time.
+TEST(OnlineArrivalOrderTest, EarlySubmitAndUnarrivedKillMatchBatch) {
+  WorkloadConfig workload;
+  workload.num_jobs = 12;
+  workload.arrival_window_s = 6000.0;
+  Rng rng(17);
+  const std::vector<JobSpec> specs = GenerateWorkload(workload, &rng);
+  constexpr double kSubmitAt = 1200.0;
+  // Constructor jobs still unarrived at kSubmitAt, by arrival time.
+  std::vector<JobSpec> later;
+  for (const JobSpec& spec : specs) {
+    if (spec.arrival_time_s > kSubmitAt) {
+      later.push_back(spec);
+    }
+  }
+  std::sort(later.begin(), later.end(), [](const JobSpec& a, const JobSpec& b) {
+    return a.arrival_time_s < b.arrival_time_s;
+  });
+  ASSERT_GE(later.size(), 3u);
+  JobSpec online = specs[0];
+  online.id = 500;
+  online.arrival_time_s = later[0].arrival_time_s;  // ties an earlier slot
+  const int killed = later[1].id;
+
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SimulatorConfig config;
+    config.seed = 23;
+    config.engine = engine;
+    config.audit = true;
+    auto run = [&](bool submit_online) {
+      std::vector<JobSpec> constructor = specs;
+      if (!submit_online) {
+        constructor.push_back(online);
+      }
+      Simulator sim(config, BuildTestbed(), constructor);
+      sim.AdvanceTo(kSubmitAt);
+      std::string error;
+      if (submit_online) {
+        EXPECT_TRUE(sim.SubmitJob(online, &error)) << error;
+      }
+      EXPECT_TRUE(sim.KillJob(killed, &error)) << error;
+      RunOutputs out;
+      out.metrics = sim.Run();
+      out.trace_digest = sim.trace().digest();
+      out.trace_records = sim.trace().size();
+      out.audit_checks = out.metrics.audit_checks;
+      out.audit_violations = out.metrics.audit_violations;
+      // The killed job never arrived: no arrival event names it.
+      for (const SimEvent& event : sim.trace().events()) {
+        EXPECT_FALSE(event.type == SimEventType::kArrival && event.job_id == killed);
+      }
+      return out;
+    };
+    const RunOutputs batch = run(false);
+    const RunOutputs session = run(true);
+    EXPECT_EQ(batch.audit_violations, 0);
+    EXPECT_EQ(batch.metrics.jobs_killed, 1);
+    EXPECT_EQ(batch.metrics.total_jobs, 13);
+    EXPECT_EQ(session.metrics.total_jobs, 13);
+    EXPECT_EQ(batch.metrics.completed_jobs, 13);
+    ExpectBitwiseEqual(session, batch,
+                       std::string("online arrival ") + SimEngineName(engine));
+  }
 }
 
 // ---------------------------------------------------------------------------

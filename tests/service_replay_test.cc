@@ -36,6 +36,7 @@
 #include "src/service/replay.h"
 #include "src/service/session.h"
 #include "src/sim/simulator.h"
+#include "src/workload/json.h"
 #include "src/workload/scenario.h"
 
 #ifndef OPTIMUS_SOURCE_DIR
@@ -371,6 +372,67 @@ TEST(ServiceReplayTest, RelativeAdvancesMoveTheClockOnBothEngines) {
     EXPECT_NE(restore_resp.find("\"ok\":true"), std::string::npos) << restore_resp;
     const std::string step = R"({"op": "advance", "id": 1, "dt_s": 600})" "\n";
     EXPECT_EQ(Replay(restored.get(), step).responses, Replay(rel.get(), step).responses);
+  }
+}
+
+TEST(ServiceReplayTest, AdvancesPastTheDrainReachTheRequestedTime) {
+  // Once the golden scenario's six jobs drain, nothing is left to simulate,
+  // but the clock must still reach every requested time (capped at
+  // max_sim_time_s), so a later submission arrives when the client says.
+  // The rounds it starts stay on the drained run's interval grid: the
+  // session lands on the report of one that submitted the same job up front.
+  const std::string advances =
+      R"({"op": "advance", "id": 1, "to_s": 50000})" "\n"
+      R"({"op": "advance", "id": 2, "dt_s": 30})" "\n"
+      R"({"op": "advance", "id": 3, "to_s": 900000})" "\n";
+  const std::string tail =
+      R"({"op": "run", "id": 9})" "\n";
+  const std::string late_submit =
+      R"({"op": "submit", "id": 4, "model": "ResNet-50", "job_id": 500})" "\n";
+  const std::string early_submit =
+      R"({"op": "submit", "id": 4, "model": "ResNet-50", "job_id": 500, "arrival_s": 900000})" "\n";
+  for (const SimEngine engine : {SimEngine::kInterval, SimEngine::kEvents}) {
+    SCOPED_TRACE(SimEngineName(engine));
+    SessionOverrides overrides;
+    overrides.engine = engine;
+    std::unique_ptr<ServiceSession> session = MakeSession(overrides);
+    ASSERT_NE(session, nullptr);
+    const ReplayOutput out = Replay(session.get(), advances);
+    EXPECT_EQ(out.result.errors, 0);
+    std::vector<double> now;
+    std::istringstream lines(out.responses);
+    for (std::string line; std::getline(lines, line);) {
+      JsonValue response;
+      std::string error;
+      ASSERT_TRUE(ParseJson(line, "response", &response, &error)) << error;
+      now.push_back(response.Find("now_s")->AsDouble());
+      EXPECT_EQ(response.Find("completed_jobs")->AsInt(), 6) << line;
+    }
+    EXPECT_EQ(now, (std::vector<double>{50000.0, 50030.0, 900000.0}));
+    // Past the time cap the clock stops at the cap.
+    const ReplayOutput capped = Replay(
+        session.get(), R"({"op": "advance", "id": 5, "to_s": 1e12})" "\n");
+    EXPECT_NE(capped.responses.find("\"now_s\":3000000"), std::string::npos)
+        << capped.responses;
+
+    // A submission after the drain: arrival defaults to the reached clock.
+    std::unique_ptr<ServiceSession> late = MakeSession(overrides);
+    const ReplayOutput late_out = Replay(late.get(), advances + late_submit + tail);
+    EXPECT_EQ(late_out.result.errors, 0);
+    EXPECT_NE(late_out.responses.find("\"arrival_s\":900000"), std::string::npos)
+        << late_out.responses;
+    // The same job submitted before anything ran.
+    std::unique_ptr<ServiceSession> early = MakeSession(overrides);
+    const ReplayOutput early_out = Replay(early.get(), early_submit + tail);
+    EXPECT_EQ(early_out.result.errors, 0);
+    const auto run_line = [](const std::string& responses) {
+      return responses.substr(responses.rfind("{\"id\":9"));
+    };
+    EXPECT_EQ(run_line(late_out.responses), run_line(early_out.responses));
+    EXPECT_NE(run_line(late_out.responses).find("\"completed_jobs\":7"),
+              std::string::npos)
+        << late_out.responses;
+    EXPECT_EQ(SimReport(&late->simulator()), SimReport(&early->simulator()));
   }
 }
 
